@@ -16,6 +16,7 @@ from .evaluate import EvalReport, benchmark, infer_image, psnr, ssim
 from .model import (
     LayerSpec,
     NetworkModel,
+    StageLog,
     build_base_network,
     build_network,
     forward,
@@ -36,10 +37,9 @@ from .ops import (
     sgd_step,
 )
 from .synth import make_corpus, synthetic_image
-from .training import StageLog, TrainConfig, cascade_train, one_shot_train, plateau_reached, run_epoch
+from .training import TrainConfig, cascade_train, one_shot_train, plateau_reached, run_epoch
 from .trimming import (
     TrimPlan,
-    TrimStageLog,
     cascade_trim,
     default_plan,
     filter_importance,

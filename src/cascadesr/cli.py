@@ -14,7 +14,7 @@ import sys
 
 from . import data, evaluate, trimming
 from .model import load_model, param_count, save_model
-from .training import MODE_CASCADE, MODE_ONE_SHOT, TrainConfig, cascade_train, one_shot_train
+from .training import TrainConfig, cascade_train, one_shot_train
 
 TOP_KEYS = {"seed", "scale", "manifest", "patches", "model_in", "model_out", "log_dir", "train", "trim"}
 TRAIN_KEYS = {
@@ -26,7 +26,8 @@ TRAIN_KEYS = {
     "batch_size",
     "max_epochs_per_stage",
 }
-TRIM_KEYS = {"mode", "rate", "rates", "layers_per_stage", "seed"}
+TRIM_KEYS = {"mode", "rate", "rates", "seed"}
+TRAINERS = {"cascade": cascade_train, "one_shot": one_shot_train}
 
 
 class ConfigError(ValueError):
@@ -62,8 +63,7 @@ def _check_exists(path: str, what: str):
 
 def _train_config(cfg: dict, args) -> TrainConfig:
     section = dict(cfg.get("train", {}))
-    if args.mode:
-        section["mode"] = args.mode
+    section.pop("mode", None)
     if args.depth:
         section["target_depth"] = args.depth
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
@@ -88,6 +88,9 @@ def cmd_prepare(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
+    mode = args.mode or cfg.get("train", {}).get("mode", "cascade")
+    if mode not in TRAINERS:
+        raise ConfigError(f"train mode must be one of {sorted(TRAINERS)}, got {mode!r}")
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
@@ -97,10 +100,7 @@ def cmd_train(cfg: dict, args) -> int:
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     log_dir = cfg.get("log_dir")
     scale = args.scale or cfg.get("scale", 2)
-    if tc.mode == MODE_CASCADE:
-        net, _ = cascade_train(patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
-    else:
-        net, _ = one_shot_train(patches, tc, tc.target_depth, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
+    net, _ = TRAINERS[mode](patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
     save_model(net, model_out)
     print(f"trained depth {net.depth}, {param_count(net)} parameters -> {model_out}")
     return 0
@@ -115,41 +115,34 @@ def _trim_plan(cfg: dict, args, depth: int) -> trimming.TrimPlan:
     seed = section.get("seed")
     if seed is None:
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return trimming.TrimPlan(
-        rates=rates, mode=mode, layers_per_stage=section.get("layers_per_stage", 2), seed=seed
-    )
+    return trimming.TrimPlan(rates=rates, mode=mode, seed=seed)
 
 
 def cmd_trim(cfg: dict, args) -> int:
-    model_in = args.model or _require(cfg, "model_in", "trim")
-    _check_exists(model_in, "model")
+    mode = args.mode or cfg.get("trim", {}).get("mode", "cascade")
+    if mode != "trim_train":  # trim_train trains from scratch and reads no model
+        model_in = args.model or _require(cfg, "model_in", "trim")
+        _check_exists(model_in, "model")
     patches = None
     train_cfg = None
     if cfg.get("patches"):
         _check_exists(cfg["patches"], "patch cache")
         patches = data.load_patches(cfg["patches"])
-        train_cfg = _train_config(cfg, argparse.Namespace(mode=None, depth=None, seed=args.seed))
+        train_cfg = _train_config(cfg, argparse.Namespace(depth=None, seed=args.seed))
     model_out = args.out or _require(cfg, "model_out", "trim")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     log_dir = cfg.get("log_dir")
-    mode = args.mode or cfg.get("trim", {}).get("mode", "cascade")
     if mode == "trim_train":
         if patches is None or train_cfg is None:
             raise ConfigError("trim_train needs a patch cache and a train section")
-        net, _ = trimming.trim_train(patches, train_cfg, log_dir=log_dir, checkpoint_stem=stem)
+        scale = args.scale or cfg.get("scale", 2)
+        net, _ = trimming.trim_train(patches, train_cfg, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
     else:
         parent = load_model(model_in)
         plan = _trim_plan(cfg, args, parent.depth)
-        plan.mode = mode
-        if mode == "cascade":
-            net, _ = trimming.cascade_trim(
-                parent, patches, train_cfg, plan, log_dir=log_dir, checkpoint_stem=stem
-            )
-        else:
-            net, _ = trimming.one_shot_trim(
-                parent, plan, patches, train_cfg, log_dir=log_dir, checkpoint_stem=stem
-            )
+        trim = trimming.cascade_trim if mode == "cascade" else trimming.one_shot_trim
+        net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, log_dir=log_dir, checkpoint_stem=stem)
     save_model(net, model_out)
     print(f"trimmed to {param_count(net)} parameters -> {model_out}")
     return 0

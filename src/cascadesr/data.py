@@ -223,14 +223,9 @@ def extract_patches(
     hr_image: np.ndarray,
     scale: int,
     params: PatchParams,
-    rng=None,
     source: str = "",
 ) -> PatchSet:
-    """Cut aligned (LR, HR) patch pairs on the fixed stride grid.
-
-    The rng argument is accepted for interface stability but unused: the
-    sampling grid is deterministic.
-    """
+    """Cut aligned (LR, HR) patch pairs on the fixed stride grid."""
     hr = crop_to_multiple(hr_image, scale)
     lr_full = degrade(hr, scale)
     ps, hs, stride = params.lr_size, params.hr_size, params.stride

@@ -43,7 +43,7 @@ def desk_corpus(out_dir: str, corpus_seed: int = 99):
     return manifest, patches
 
 
-def desk_train_config(seed: int, mode: str = "cascade", target_depth: int = 7, epoch_cap: int | None = None):
+def desk_train_config(seed: int, target_depth: int = 7, epoch_cap: int | None = None):
     return training.TrainConfig(
         learning_rate=DESK_LEARNING_RATE,
         plateau_threshold=DESK_PLATEAU,
@@ -51,7 +51,6 @@ def desk_train_config(seed: int, mode: str = "cascade", target_depth: int = 7, e
         batch_size=DESK_BATCH,
         max_epochs_per_stage=epoch_cap if epoch_cap is not None else DESK_STAGE_EPOCH_CAP,
         seed=seed,
-        mode=mode,
     )
 
 
@@ -66,7 +65,6 @@ class SeedResult:
     cascade_epochs: dict = field(default_factory=dict)  # depth -> epochs used
     cascade_losses: dict = field(default_factory=dict)  # depth -> per-epoch loss list
     one_shot5_psnr: float = float("nan")
-    train_image_psnr: dict = field(default_factory=dict)  # depth -> train-set image PSNR
     trim_psnr: dict = field(default_factory=dict)  # method -> heldout PSNR
 
 
@@ -89,8 +87,8 @@ def run_training_arms(patches: PatchSet, manifest: DatasetManifest, seed: int, w
             f"heldout {result.cascade_psnr[log.depth]:.2f} dB"
         )
     budget = result.cascade_epochs[3] + result.cascade_epochs[5]
-    os_cfg = desk_train_config(seed, mode="one_shot", target_depth=5, epoch_cap=budget)
-    os_net, os_log = training.one_shot_train(patches, os_cfg, depth=5)
+    os_cfg = desk_train_config(seed, target_depth=5, epoch_cap=budget)
+    os_net, os_log = training.one_shot_train(patches, os_cfg)
     result.one_shot5_psnr = heldout_psnr(os_net, manifest)
     print(f"  seed {seed} one-shot d5: {os_log.epochs}/{budget} epochs, heldout {result.one_shot5_psnr:.2f} dB")
     return result
@@ -109,13 +107,13 @@ def run_trimming_arms(
     plan = trimming.default_plan(parent.depth, trimming.MODE_CASCADE_TRIM, seed=seed)
     casc_net, casc_logs = trimming.cascade_trim(parent, patches, ft_cfg, plan)
     result.trim_psnr["cascade_trim"] = heldout_psnr(casc_net, manifest)
-    print(f"    cascade_trim fine-tune epochs per stage: {[len(l.finetune_losses) for l in casc_logs]}")
+    print(f"    cascade_trim fine-tune epochs per stage: {[l.epochs for l in casc_logs]}")
 
     os_cfg = desk_train_config(seed, epoch_cap=total_budget)
     os_plan = trimming.default_plan(parent.depth, trimming.MODE_ONE_SHOT_INDEPENDENT, seed=seed)
     os_net, os_log = trimming.one_shot_trim(parent, os_plan, patches, os_cfg)
     result.trim_psnr["one_shot"] = heldout_psnr(os_net, manifest)
-    print(f"    one_shot fine-tune epochs: {len(os_log.finetune_losses)}")
+    print(f"    one_shot fine-tune epochs: {os_log.epochs}")
 
     tt_cfg = desk_train_config(
         seed, target_depth=parent.depth, epoch_cap=total_budget // stages

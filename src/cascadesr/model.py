@@ -78,18 +78,50 @@ class Layer:
 
 
 @dataclass
-class StageRecord:
-    depth_after: int
-    epochs_run: int
-    final_loss: float
+class StageLog:
+    """One stage of cascade training or of trimming.
+
+    losses holds the mean loss of each epoch run; terminated_by is
+    "plateau" or "max_epochs". removed_filters maps a layer index to the
+    output filters a trimming stage removed from it (empty for training
+    stages); param_count_after is the weight count when the stage ended.
+    """
+
+    depth: int
+    losses: list[float] = field(default_factory=list)
+    terminated_by: str = "max_epochs"
+    removed_filters: dict[int, list[int]] = field(default_factory=dict)
+    param_count_after: int = 0
+
+    @property
+    def epochs(self) -> int:
+        return len(self.losses)
+
+    def to_dict(self) -> dict:
+        return {
+            "depth": self.depth,
+            "losses": self.losses,
+            "terminated_by": self.terminated_by,
+            "removed_filters": {str(k): v for k, v in self.removed_filters.items()},
+            "param_count_after": self.param_count_after,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> StageLog:
+        return cls(
+            d["depth"],
+            list(d["losses"]),
+            d["terminated_by"],
+            {int(k): list(v) for k, v in d["removed_filters"].items()},
+            d["param_count_after"],
+        )
 
 
 @dataclass
 class NetworkModel:
     layers: list[Layer]
     scale: int = 2
-    stage_history: list[StageRecord] = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
+    stage_history: list[StageLog] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -202,10 +234,7 @@ def insert_layers(
         w = gaussian_init((filters, filters, 3, 3), GAUSSIAN_SIGMA, gen)
         w[np.arange(filters), np.arange(filters), 1, 1] += 1
         layers.insert(-1, Layer(spec, w, np.zeros(filters, dtype=FLOAT)))
-    grown = NetworkModel(
-        layers, scale=net.scale, stage_history=list(net.stage_history), format_version=net.format_version
-    )
-    return grown.validate()
+    return NetworkModel(layers, scale=net.scale, stage_history=list(net.stage_history)).validate()
 
 
 def forward(net: NetworkModel, x: np.ndarray) -> np.ndarray:
@@ -233,7 +262,6 @@ def clone(net: NetworkModel) -> NetworkModel:
         [Layer(l.spec, l.weights.copy(), l.bias.copy()) for l in net.layers],
         scale=net.scale,
         stage_history=list(net.stage_history),
-        format_version=net.format_version,
     )
 
 
@@ -269,10 +297,7 @@ def save_model(net: NetworkModel, path: str) -> None:
             }
             for l in net.layers
         ],
-        "stage_history": [
-            {"depth_after": r.depth_after, "epochs_run": r.epochs_run, "final_loss": r.final_loss}
-            for r in net.stage_history
-        ],
+        "stage_history": [log.to_dict() for log in net.stage_history],
     }
     with open(_sidecar_path(path), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -313,20 +338,13 @@ def load_model(path: str) -> NetworkModel:
         layers.append(Layer(spec, w.astype(FLOAT), b.astype(FLOAT)))
     if off != len(blob):
         raise ModelFormatError(f"{len(blob) - off} trailing bytes after last layer")
-    net = NetworkModel(layers, scale=scale, format_version=version)
+    net = NetworkModel(layers, scale=scale)
     net.validate()
     try:
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
-        net.stage_history = [
-            StageRecord(r["depth_after"], r["epochs_run"], r["final_loss"])
-            for r in meta.get("stage_history", [])
-        ]
+        net.stage_history = [StageLog.from_dict(r) for r in meta.get("stage_history", [])]
     except (OSError, ValueError, KeyError):
         pass  # sidecar is informational; the binary is authoritative
     return net
 
-
-def with_history(net: NetworkModel, record: StageRecord) -> NetworkModel:
-    net.stage_history.append(record)
-    return net

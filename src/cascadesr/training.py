@@ -15,25 +15,16 @@ namespaced child streams, so a run is reproducible byte-for-byte:
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
 from .data import PatchSet
-from .model import (
-    NetworkModel,
-    StageRecord,
-    build_base_network,
-    build_network,
-    insert_layers,
-    save_model,
-)
-
-MODE_CASCADE = "cascade"
-MODE_ONE_SHOT = "one_shot"
+from .model import NetworkModel, StageLog, build_network, insert_layers, param_count, save_model
 
 
 @dataclass
@@ -45,7 +36,6 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs_per_stage: int = 100
     seed: int = 0
-    mode: str = MODE_CASCADE
 
     def __post_init__(self):
         if not (0 < self.plateau_threshold < 1):
@@ -57,19 +47,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.max_epochs_per_stage < 0 or self.insert_count < 1:
             raise ValueError("batch_size >= 1, max_epochs_per_stage >= 0, insert_count >= 1 required")
-        if self.mode not in (MODE_CASCADE, MODE_ONE_SHOT):
-            raise ValueError(f"mode must be cascade or one_shot, got {self.mode!r}")
 
 
-@dataclass
-class StageLog:
-    depth: int
-    losses: list[float] = field(default_factory=list)
-    terminated_by: str = "max_epochs"
-
-    @property
-    def epochs(self) -> int:
-        return len(self.losses)
+class NonFiniteLossError(ValueError):
+    """An epoch's mean loss is NaN or infinite: the run diverged."""
 
 
 def plateau_reached(prev_loss: float, curr_loss: float, threshold: float) -> bool:
@@ -132,6 +113,11 @@ def run_epoch(
 
 
 def _train_stage(net, patches, cfg, stage, log_writer=None):
+    """Train until the plateau rule or the epoch cap ends the stage.
+
+    A previous-epoch loss of 0 is a perfect fit and ends the stage as a
+    plateau; a non-finite epoch loss raises NonFiniteLossError.
+    """
     log = StageLog(depth=net.depth)
     for epoch in range(cfg.max_epochs_per_stage):
         t0 = time.perf_counter()
@@ -140,9 +126,12 @@ def _train_stage(net, patches, cfg, stage, log_writer=None):
         log.losses.append(loss)
         if log_writer is not None:
             log_writer.writerow([stage, net.depth, epoch, f"{loss:.8e}", f"{seconds:.3f}"])
-        if epoch >= 1 and plateau_reached(log.losses[-2], loss, cfg.plateau_threshold):
+        if not math.isfinite(loss):
+            raise NonFiniteLossError(f"non-finite loss {loss} at depth {net.depth}, stage {stage}, epoch {epoch}")
+        if epoch >= 1 and (log.losses[-2] == 0 or plateau_reached(log.losses[-2], loss, cfg.plateau_threshold)):
             log.terminated_by = "plateau"
             break
+    log.param_count_after = param_count(net)
     return net, log
 
 
@@ -162,9 +151,24 @@ class _TrainLogger:
             self.fh.close()
 
 
-def _checkpoint(net, stem):
-    if stem is not None:
-        save_model(net, f"{stem}-d{net.depth}.ctsr")
+def _grow(net, rng, patches, cfg, log_dir, checkpoint_stem):
+    """Train stage after stage, inserting layers between stages, until
+    cfg.target_depth; log and checkpoint every stage."""
+    logger = _TrainLogger(log_dir)
+    try:
+        stage = 0
+        while True:
+            net, log = _train_stage(net, patches, cfg, stage, logger.writer)
+            net.stage_history.append(log)
+            if checkpoint_stem is not None:
+                save_model(net, f"{checkpoint_stem}-d{net.depth}.ctsr")
+            if net.depth >= cfg.target_depth:
+                break
+            stage += 1
+            net = insert_layers(net, rng.child(1, stage), how_many=cfg.insert_count)
+    finally:
+        logger.close()
+    return net, list(net.stage_history)
 
 
 def cascade_train(
@@ -181,52 +185,23 @@ def cascade_train(
     Returns (net, stage logs). Writes a per-stage CSV log and a model
     checkpoint at every stage boundary when the optional paths are given.
     """
-    if cfg.mode != MODE_CASCADE:
-        raise ValueError(f"cascade_train requires mode=cascade, got {cfg.mode!r}")
     rng = ops.RngState(cfg.seed)
-    if first_filters == 64 and mid_filters == 32:
-        net = build_base_network(rng.child(1, 0), scale=scale)
-    else:
-        net = build_network(3, rng.child(1, 0), scale=scale, first_filters=first_filters, mid_filters=mid_filters)
-    logger = _TrainLogger(log_dir)
-    logs = []
-    try:
-        stage = 0
-        while True:
-            net, log = _train_stage(net, patches, cfg, stage, logger.writer)
-            logs.append(log)
-            net.stage_history.append(
-                StageRecord(net.depth, log.epochs, log.losses[-1] if log.losses else float("nan"))
-            )
-            _checkpoint(net, checkpoint_stem)
-            if net.depth >= cfg.target_depth:
-                break
-            stage += 1
-            net = insert_layers(net, rng.child(1, stage), how_many=cfg.insert_count)
-    finally:
-        logger.close()
-    return net, logs
+    net = build_network(3, rng.child(1, 0), scale=scale, first_filters=first_filters, mid_filters=mid_filters)
+    return _grow(net, rng, patches, cfg, log_dir, checkpoint_stem)
 
 
 def one_shot_train(
     patches: PatchSet,
     cfg: TrainConfig,
-    depth: int,
     log_dir: str | None = None,
     checkpoint_stem: str | None = None,
     scale: int = 2,
 ):
-    """Control arm: build the full depth at once and train a single stage."""
-    if cfg.mode != MODE_ONE_SHOT:
-        raise ValueError(f"one_shot_train requires mode=one_shot, got {cfg.mode!r}")
-    net = build_network(depth, ops.RngState(cfg.seed).child(1, 0), scale=scale)
-    logger = _TrainLogger(log_dir)
-    try:
-        net, log = _train_stage(net, patches, cfg, 0, logger.writer)
-    finally:
-        logger.close()
-    net.stage_history.append(
-        StageRecord(net.depth, log.epochs, log.losses[-1] if log.losses else float("nan"))
-    )
-    _checkpoint(net, checkpoint_stem)
-    return net, log
+    """Control arm: build cfg.target_depth at once and train a single stage.
+
+    Returns (net, the stage's log).
+    """
+    rng = ops.RngState(cfg.seed)
+    net = build_network(cfg.target_depth, rng.child(1, 0), scale=scale)
+    net, logs = _grow(net, rng, patches, cfg, log_dir, checkpoint_stem)
+    return net, logs[0]

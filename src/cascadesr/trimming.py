@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PatchSet
-from .model import Layer, LayerSpec, NetworkModel, clone, param_count, save_model
+from .model import Layer, LayerSpec, NetworkModel, StageLog, clone, param_count, save_model
 from .ops import RngState
-from .training import MODE_CASCADE, StageLog, TrainConfig, _train_stage
+from .training import TrainConfig, _train_stage, cascade_train
 
 MODE_ONE_SHOT_INDEPENDENT = "one_shot_independent"
 MODE_ONE_SHOT_GREEDY = "one_shot_greedy"
@@ -35,7 +35,6 @@ FINETUNE_STAGE_BASE = 1000
 class TrimPlan:
     rates: list[float]
     mode: str = MODE_ONE_SHOT_INDEPENDENT
-    layers_per_stage: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -45,31 +44,11 @@ class TrimPlan:
             raise ValueError(f"trim rates must lie in [0, 1), got {self.rates}")
         if self.rates and self.rates[-1] != 0:
             raise ValueError("the final layer's trim rate must be 0 (single output filter)")
-        if self.layers_per_stage < 1:
-            raise ValueError(f"layers_per_stage must be >= 1, got {self.layers_per_stage}")
 
 
 def default_plan(depth: int, mode: str, rate: float = 0.5, seed: int = 0) -> TrimPlan:
     """Uniform-rate plan over all trimmable layers (last layer pinned to 0)."""
     return TrimPlan(rates=[rate] * (depth - 1) + [0.0], mode=mode, seed=seed)
-
-
-@dataclass
-class TrimStageLog:
-    stage_index: int
-    trimmed_layers: list[int]
-    removed_filters: dict[int, list[int]]
-    param_count_after: int
-    finetune_losses: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "stage_index": self.stage_index,
-            "trimmed_layers": self.trimmed_layers,
-            "removed_filters": {str(k): v for k, v in self.removed_filters.items()},
-            "param_count_after": self.param_count_after,
-            "finetune_losses": self.finetune_losses,
-        }
 
 
 def filter_importance(weights: np.ndarray) -> float:
@@ -79,26 +58,17 @@ def filter_importance(weights: np.ndarray) -> float:
     return float(np.sum(weights.astype(np.float64) ** 2))
 
 
-def importance_scores(
-    net: NetworkModel,
-    layer_index: int,
-    mode: str = "independent",
-    removed_input_channels=None,
-) -> np.ndarray:
-    """Per-filter importance for one layer.
+def importance_scores(net: NetworkModel, layer_index: int) -> np.ndarray:
+    """Per-filter importance for one layer, scoring the kernels as they stand.
 
-    Independent mode scores the kernels as given. Greedy mode first drops the
-    input-channel slices removed by trimming the previous layer, so a filter
-    whose mass lives in removed channels scores lower.
+    Greedy one-shot trimming scores the network trimmed so far, whose next
+    layers have already lost the input slices of removed filters, so a filter
+    whose mass lives in removed channels scores lower (Li et al.,
+    arXiv:1608.08710).
     """
     if not 0 <= layer_index < net.depth:
         raise IndexError(f"layer index {layer_index} out of range for depth {net.depth}")
-    if mode not in ("independent", "greedy"):
-        raise ValueError(f"unknown scoring mode {mode!r}")
     w = net.layers[layer_index].weights
-    if mode == "greedy" and removed_input_channels:
-        keep = [c for c in range(w.shape[1]) if c not in set(removed_input_channels)]
-        w = w[:, keep]
     return np.array([filter_importance(w[j]) for j in range(w.shape[0])])
 
 
@@ -134,20 +104,42 @@ def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> Network
     return out.validate()
 
 
-def _finetune(net, patches, cfg, stage_key, log_writer=None):
-    if patches is None or cfg is None or len(patches) == 0:
-        return net, StageLog(depth=net.depth)
-    return _train_stage(net, patches, cfg, FINETUNE_STAGE_BASE + stage_key, log_writer)
+def _trim_stages(net, plan, stages, choose, patches, cfg, log_dir, checkpoint_stem):
+    """Stage loop shared by one-shot and cascade trimming.
 
-
-def _write_stage_log(log: TrimStageLog, log_dir: str | None):
-    if log_dir is None:
-        return
-    os.makedirs(log_dir, exist_ok=True)
-    path = os.path.join(log_dir, f"trim_stage_{log.stage_index}.json")
-    with open(path, "w") as fh:
-        json.dump(log.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Stage n (from 1) removes floor(rate_i * n_i) filters, picked by
+    choose(current, stage, i, count), from each layer i of stages[n - 1], then
+    fine-tunes the whole network to plateau when patches and cfg are given,
+    and writes trim_stage_{n}.json and the -trimS{n} checkpoint.
+    """
+    if len(plan.rates) != net.depth:
+        raise ValueError(f"plan has {len(plan.rates)} rates for depth {net.depth}")
+    current = clone(net)
+    logs = []
+    for stage, layers in enumerate(stages):
+        removed: dict[int, list[int]] = {}
+        for i in layers:
+            count = math.floor(plan.rates[i] * current.layers[i].spec.out_filters)
+            if count == 0:
+                continue
+            victims = choose(current, stage, i, count)
+            current = trim_filters(current, i, victims)
+            removed[i] = victims
+        if patches is None or cfg is None or len(patches) == 0:
+            log = StageLog(depth=current.depth)
+        else:
+            current, log = _train_stage(current, patches, cfg, FINETUNE_STAGE_BASE + stage)
+        log.removed_filters = removed
+        log.param_count_after = param_count(current)
+        logs.append(log)
+        if log_dir is not None:
+            os.makedirs(log_dir, exist_ok=True)
+            with open(os.path.join(log_dir, f"trim_stage_{stage + 1}.json"), "w") as fh:
+                json.dump(log.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        if checkpoint_stem is not None:
+            save_model(current, f"{checkpoint_stem}-trimS{stage + 1}.ctsr")
+    return current, logs
 
 
 def one_shot_trim(
@@ -162,37 +154,20 @@ def one_shot_trim(
 
     Filter counts come from the original layer widths: floor(rate_i * n_i)
     lowest-scoring filters go, ties broken toward the lower filter index.
+    Independent mode scores the untrimmed network; greedy mode scores the
+    network trimmed so far. Returns (net, the one stage's log).
     """
     if plan.mode not in (MODE_ONE_SHOT_INDEPENDENT, MODE_ONE_SHOT_GREEDY):
         raise ValueError(f"one_shot_trim needs a one-shot plan, got mode {plan.mode!r}")
-    if len(plan.rates) != net.depth:
-        raise ValueError(f"plan has {len(plan.rates)} rates for depth {net.depth}")
     greedy = plan.mode == MODE_ONE_SHOT_GREEDY
-    original = clone(net)
-    current = clone(net)
-    removed: dict[int, list[int]] = {}
-    for i in range(net.depth - 1):
-        count = math.floor(plan.rates[i] * original.layers[i].spec.out_filters)
-        if count == 0:
-            continue
-        scores = importance_scores(
-            current if greedy else original, i, "greedy" if greedy else "independent"
-        )
-        victims = sorted(np.argsort(scores, kind="stable")[:count].tolist())
-        current = trim_filters(current, i, victims)
-        removed[i] = victims
-    current, ft = _finetune(current, patches, cfg, 0)
-    log = TrimStageLog(
-        stage_index=1,
-        trimmed_layers=sorted(removed),
-        removed_filters=removed,
-        param_count_after=param_count(current),
-        finetune_losses=ft.losses,
-    )
-    _write_stage_log(log, log_dir)
-    if checkpoint_stem is not None:
-        save_model(current, f"{checkpoint_stem}-trimS1.ctsr")
-    return current, log
+
+    def lowest_importance(current, stage, i, count):
+        scores = importance_scores(current if greedy else net, i)
+        return sorted(np.argsort(scores, kind="stable")[:count].tolist())
+
+    stages = [range(net.depth - 1)]
+    current, logs = _trim_stages(net, plan, stages, lowest_importance, patches, cfg, log_dir, checkpoint_stem)
+    return current, logs[0]
 
 
 def cascade_trim_pairs(depth: int) -> list[tuple[int, int]]:
@@ -217,52 +192,25 @@ def cascade_trim(
     whole-network fine-tune to plateau between stages."""
     if plan.mode != MODE_CASCADE_TRIM:
         raise ValueError(f"cascade_trim needs a cascade plan, got mode {plan.mode!r}")
-    if len(plan.rates) != net.depth:
-        raise ValueError(f"plan has {len(plan.rates)} rates for depth {net.depth}")
     rng = RngState(plan.seed)
-    current = clone(net)
-    logs = []
-    for stage, pair in enumerate(cascade_trim_pairs(net.depth)):
-        removed: dict[int, list[int]] = {}
-        for layer_index in pair:
-            n = current.layers[layer_index].spec.out_filters
-            count = math.floor(plan.rates[layer_index] * n)
-            if count == 0:
-                continue
-            victims = sorted(rng.child(3, stage, layer_index).choice(n, size=count, replace=False).tolist())
-            current = trim_filters(current, layer_index, victims)
-            removed[layer_index] = victims
-        current, ft = _finetune(current, patches, cfg, stage)
-        log = TrimStageLog(
-            stage_index=stage + 1,
-            trimmed_layers=sorted(removed),
-            removed_filters=removed,
-            param_count_after=param_count(current),
-            finetune_losses=ft.losses,
-        )
-        logs.append(log)
-        _write_stage_log(log, log_dir)
-        if checkpoint_stem is not None:
-            save_model(current, f"{checkpoint_stem}-trimS{stage + 1}.ctsr")
-    return current, logs
+
+    def seeded_random(current, stage, i, count):
+        n = current.layers[i].spec.out_filters
+        return sorted(rng.child(3, stage, i).choice(n, size=count, replace=False).tolist())
+
+    stages = cascade_trim_pairs(net.depth)
+    return _trim_stages(net, plan, stages, seeded_random, patches, cfg, log_dir, checkpoint_stem)
 
 
 def trim_train(
     patches: PatchSet,
     cfg: TrainConfig,
-    plan: TrimPlan | None = None,
     log_dir: str | None = None,
     checkpoint_stem: str | None = None,
     scale: int = 2,
 ):
     """Slim-first alternative: cascade-train the halved architecture
     (32-16-...-16-1 filters) from scratch to the target depth."""
-    from .training import cascade_train
-
-    if plan is not None and plan.mode != MODE_CASCADE_TRIM:
-        raise ValueError(f"trim_train expects a cascade plan, got mode {plan.mode!r}")
-    if cfg.mode != MODE_CASCADE:
-        raise ValueError("trim_train requires cfg.mode=cascade")
     return cascade_train(
         patches,
         cfg,

@@ -4,6 +4,13 @@ import pytest
 from cascadesr.ops import FLOAT
 
 
+def pytest_collection_modifyitems(config, items):
+    """Mark every test that uses the desk fixture, so `pytest -m "not desk"` skips the long runs."""
+    for item in items:
+        if "desk" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.desk)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

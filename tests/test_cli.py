@@ -119,6 +119,14 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config_path)]) == 1
         assert "target_depth" in capsys.readouterr().err
 
+    def test_unknown_train_mode_rejected(self, workspace, capsys):
+        tmp, config, config_path = workspace
+        config["train"]["mode"] = "sideways"
+        rewrite(config_path, config)
+        cli.main(["prepare", "--config", str(config_path)])
+        assert cli.main(["train", "--config", str(config_path)]) == 1
+        assert "sideways" in capsys.readouterr().err
+
 
 class TestTrim:
     @pytest.fixture
@@ -145,6 +153,19 @@ class TestTrim:
         rewrite(config_path, config)
         assert cli.main(["trim", "--config", str(config_path)]) == 1
         assert "absent" in capsys.readouterr().err
+
+    def test_trim_train_needs_no_model_and_keeps_scale(self, workspace):
+        tmp, config, config_path = workspace
+        config["scale"] = 3
+        config["model_out"] = str(tmp / "out" / "slim.ctsr")
+        config["trim"] = {"mode": "trim_train"}
+        rewrite(config_path, config)
+        cli.main(["prepare", "--config", str(config_path)])
+        assert "model_in" not in config
+        assert cli.main(["trim", "--config", str(config_path)]) == 0
+        net = model.load_model(config["model_out"])
+        assert net.scale == 3
+        assert net.filter_counts() == [32] + [16] * 5 + [1]
 
     def test_zero_rate_one_shot_keeps_weights(self, trained):
         tmp, config, config_path = trained

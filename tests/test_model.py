@@ -188,13 +188,21 @@ class TestSerialization:
 
     def test_sidecar_written_and_parsed(self, base_net, tmp_path):
         p = tmp_path / "m.ctsr"
-        base_net.stage_history.append(model.StageRecord(3, 7, 0.001))
+        base_net.stage_history.append(model.StageLog(3, [0.002, 0.001], "plateau", {1: [0, 4]}, 57_184))
         model.save_model(base_net, str(p))
         meta = json.loads((tmp_path / "m.json").read_text())
         assert meta["layers"][0]["kernel_size"] == 9
-        assert meta["stage_history"] == [{"depth_after": 3, "epochs_run": 7, "final_loss": 0.001}]
+        assert meta["stage_history"] == [
+            {
+                "depth": 3,
+                "losses": [0.002, 0.001],
+                "terminated_by": "plateau",
+                "removed_filters": {"1": [0, 4]},
+                "param_count_after": 57_184,
+            }
+        ]
         loaded = model.load_model(str(p))
-        assert loaded.stage_history[0].depth_after == 3
+        assert loaded.stage_history == base_net.stage_history
 
     def test_invariants_checked_on_load(self, tmp_path):
         # hand-build a file whose chain is broken (layer0 out=2 feeds in=3)

@@ -21,7 +21,6 @@ def quick_cfg(**kw):
         batch_size=8,
         max_epochs_per_stage=2,
         seed=3,
-        mode="cascade",
     )
     base.update(kw)
     return training.TrainConfig(**base)
@@ -49,7 +48,6 @@ class TestTrainConfig:
         assert cfg.plateau_threshold == 0.03
         assert cfg.insert_count == 2
         assert cfg.batch_size == 64
-        assert cfg.mode == "cascade"
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -60,8 +58,6 @@ class TestTrainConfig:
             training.TrainConfig(target_depth=4)
         with pytest.raises(ValueError):
             training.TrainConfig(learning_rate=-1e-4)
-        with pytest.raises(ValueError):
-            training.TrainConfig(mode="sideways")
 
 
 class TestRunEpoch:
@@ -117,7 +113,7 @@ class TestCascadeTrain:
         net, logs = training.cascade_train(patches, cfg)
         assert [log.depth for log in logs] == [3, 5, 7]
         assert net.depth == 7
-        assert [r.depth_after for r in net.stage_history] == [3, 5, 7]
+        assert [r.depth for r in net.stage_history] == [3, 5, 7]
 
     def test_final_param_count_at_depth(self):
         patches = make_patchset(n=16)
@@ -169,16 +165,12 @@ class TestCascadeTrain:
         assert lines[0] == "stage_index,depth,epoch,mean_loss,wall_seconds"
         assert len(lines) == 4  # 3 stages x 1 epoch
 
-    def test_mode_checked(self):
-        with pytest.raises(ValueError):
-            training.cascade_train(make_patchset(n=8), quick_cfg(mode="one_shot"))
-
 
 class TestOneShotTrain:
     def test_architecture_matches_cascade(self):
         patches = make_patchset(n=8)
-        cfg = quick_cfg(mode="one_shot", max_epochs_per_stage=0, target_depth=5)
-        net, log = training.one_shot_train(patches, cfg, depth=5)
+        cfg = quick_cfg(max_epochs_per_stage=0, target_depth=5)
+        net, log = training.one_shot_train(patches, cfg)
         assert model.param_count(net) == 75_616
         cascade_specs = [l.spec for l in model.build_network(5, ops.RngState(0)).layers]
         assert [l.spec for l in net.layers] == cascade_specs
@@ -186,15 +178,11 @@ class TestOneShotTrain:
 
     def test_zero_max_epochs_returns_initialized_net(self):
         patches = make_patchset(n=8)
-        cfg = quick_cfg(mode="one_shot", max_epochs_per_stage=0)
-        net, _ = training.one_shot_train(patches, cfg, depth=3)
+        cfg = quick_cfg(max_epochs_per_stage=0)
+        net, _ = training.one_shot_train(patches, cfg)
         fresh = model.build_network(3, ops.RngState(cfg.seed).child(1, 0))
         for a, b in zip(net.layers, fresh.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
-
-    def test_mode_checked(self):
-        with pytest.raises(ValueError):
-            training.one_shot_train(make_patchset(n=8), quick_cfg(), depth=3)
 
 
 class TestStageTermination:
@@ -211,3 +199,19 @@ class TestStageTermination:
         cfg = quick_cfg(max_epochs_per_stage=1)
         _, logs = training.cascade_train(patches, cfg)
         assert logs[0].terminated_by == "max_epochs"
+
+    def test_perfect_fit_ends_as_plateau(self):
+        # zero inputs and targets give a loss of exactly 0 from the first epoch
+        patches = make_patchset(n=8)
+        patches.lr[:] = 0
+        patches.hr[:] = 0
+        _, logs = training.cascade_train(patches, quick_cfg(target_depth=5, max_epochs_per_stage=4))
+        assert [(log.losses, log.terminated_by) for log in logs] == [([0.0, 0.0], "plateau")] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_fails_before_checkpoint(self, tmp_path):
+        patches = make_patchset(n=16)
+        cfg = quick_cfg(target_depth=5, learning_rate=50.0, batch_size=4, max_epochs_per_stage=5)
+        with pytest.raises(training.NonFiniteLossError, match="depth 3, stage 0, epoch 1"):
+            training.cascade_train(patches, cfg, checkpoint_stem=str(tmp_path / "run"))
+        assert not list(tmp_path.glob("run-d*.ctsr"))

@@ -40,11 +40,6 @@ class TestFilterImportance:
 
 
 class TestImportanceScores:
-    def test_first_layer_modes_identical(self, net13):
-        ind = trimming.importance_scores(net13, 0, "independent")
-        greedy = trimming.importance_scores(net13, 0, "greedy", removed_input_channels=[])
-        np.testing.assert_array_equal(ind, greedy)
-
     def test_greedy_sees_removed_mass(self):
         net = model.build_base_network(ops.RngState(3))
         # filter A of layer 1 takes all its mass from input channel 0
@@ -52,8 +47,8 @@ class TestImportanceScores:
         w[:] = 0
         w[0, 0] = 1.0  # filter A: all mass in channel 0
         w[1, 1:] = 0.5  # filter B: mass elsewhere
-        ind = trimming.importance_scores(net, 1, "independent")
-        greedy = trimming.importance_scores(net, 1, "greedy", removed_input_channels=[0])
+        ind = trimming.importance_scores(net, 1)
+        greedy = trimming.importance_scores(trimming.trim_filters(net, 0, [0]), 1)
         assert ind[0] > 0
         assert greedy[0] == 0.0
         assert greedy[1] > 0
@@ -67,9 +62,9 @@ class TestImportanceScores:
         np.testing.assert_allclose(permuted, scores[perm])
 
     def test_independent_scores_ignore_processing_order(self, rng, net13):
-        in_order = [trimming.importance_scores(net13, i, "independent") for i in range(12)]
+        in_order = [trimming.importance_scores(net13, i) for i in range(12)]
         shuffled_order = list(rng.permutation(12))
-        shuffled = {i: trimming.importance_scores(net13, int(i), "independent") for i in shuffled_order}
+        shuffled = {i: trimming.importance_scores(net13, int(i)) for i in shuffled_order}
         for i in range(12):
             np.testing.assert_array_equal(in_order[i], shuffled[i])
 
@@ -147,7 +142,7 @@ class TestOneShotTrim:
         out, log = trimming.one_shot_trim(net13, plan)
         assert out.filter_counts() == [32] + [16] * 11 + [1]
         assert log.param_count_after == 38_832
-        assert log.trimmed_layers == list(range(12))
+        assert sorted(log.removed_filters) == list(range(12))
 
     def test_zero_rate_identity(self, net13):
         plan = trimming.default_plan(13, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=0.0)
@@ -189,7 +184,7 @@ class TestOneShotTrim:
             max_epochs_per_stage=5, seed=1,
         )
         out, log = trimming.one_shot_trim(net13, plan, tiny_patches(), cfg)
-        assert len(log.finetune_losses) == 2  # lr=0 plateaus on the second epoch
+        assert log.epochs == 2  # lr=0 plateaus on the second epoch
 
 
 class TestCascadeTrim:
@@ -260,11 +255,6 @@ class TestTrimTrain:
         )
         assert net.filter_counts() == reference.filter_counts()
         assert [l.spec for l in net.layers] == [l.spec for l in reference.layers]
-
-    def test_mode_checked(self):
-        cfg = training.TrainConfig(mode="one_shot", target_depth=5)
-        with pytest.raises(ValueError):
-            trimming.trim_train(tiny_patches(), cfg)
 
 
 class TestTrimPlan:
