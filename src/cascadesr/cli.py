@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import data, evaluate, trimming
 from .model import load_model, param_count, save_model
@@ -21,7 +22,6 @@ TRAIN_KEYS = {
     "mode",
     "learning_rate",
     "plateau_threshold",
-    "insert_count",
     "target_depth",
     "batch_size",
     "max_epochs_per_stage",
@@ -61,6 +61,18 @@ def _check_exists(path: str, what: str):
         raise ConfigError(f"{what} not found: {path}")
 
 
+def _scale(cfg: dict, args, default: int) -> int:
+    """--scale, else the config's scale, else the command's default."""
+    return args.scale or cfg.get("scale", default)
+
+
+def _manifest(cfg: dict, args, command: str) -> data.DatasetManifest:
+    manifest_path = _require(cfg, "manifest", command)
+    _check_exists(manifest_path, "manifest")
+    manifest = data.DatasetManifest.from_json(manifest_path)
+    return replace(manifest, scale=_scale(cfg, args, manifest.scale))
+
+
 def _train_config(cfg: dict, args) -> TrainConfig:
     section = dict(cfg.get("train", {}))
     section.pop("mode", None)
@@ -71,11 +83,7 @@ def _train_config(cfg: dict, args) -> TrainConfig:
 
 
 def cmd_prepare(cfg: dict, args) -> int:
-    manifest_path = _require(cfg, "manifest", "prepare")
-    _check_exists(manifest_path, "manifest")
-    manifest = data.DatasetManifest.from_json(manifest_path)
-    if args.scale:
-        manifest.scale = args.scale
+    manifest = _manifest(cfg, args, "prepare")
     for entry in manifest.images:
         _check_exists(entry.path, "image")
     out = args.out or _require(cfg, "patches", "prepare")
@@ -99,23 +107,21 @@ def cmd_train(cfg: dict, args) -> int:
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     log_dir = cfg.get("log_dir")
-    scale = args.scale or cfg.get("scale", 2)
+    scale = _scale(cfg, args, 2)
     net, _ = TRAINERS[mode](patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
     save_model(net, model_out)
     print(f"trained depth {net.depth}, {param_count(net)} parameters -> {model_out}")
     return 0
 
 
-def _trim_plan(cfg: dict, args, depth: int) -> trimming.TrimPlan:
-    section = dict(cfg.get("trim", {}))
-    mode = args.mode or section.get("mode", "cascade")
-    rates = section.get("rates")
-    if rates is None:
-        rates = [section.get("rate", 0.5)] * (depth - 1) + [0.0]
+def _trim_plan(cfg: dict, args, mode: str, depth: int) -> trimming.TrimPlan:
+    section = cfg.get("trim", {})
     seed = section.get("seed")
     if seed is None:
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return trimming.TrimPlan(rates=rates, mode=mode, seed=seed)
+    if section.get("rates") is None:
+        return trimming.default_plan(depth, mode, section.get("rate", 0.5), seed)
+    return trimming.TrimPlan(rates=section["rates"], mode=mode, seed=seed)
 
 
 def cmd_trim(cfg: dict, args) -> int:
@@ -136,11 +142,11 @@ def cmd_trim(cfg: dict, args) -> int:
     if mode == "trim_train":
         if patches is None or train_cfg is None:
             raise ConfigError("trim_train needs a patch cache and a train section")
-        scale = args.scale or cfg.get("scale", 2)
+        scale = _scale(cfg, args, 2)
         net, _ = trimming.trim_train(patches, train_cfg, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
     else:
         parent = load_model(model_in)
-        plan = _trim_plan(cfg, args, parent.depth)
+        plan = _trim_plan(cfg, args, mode, parent.depth)
         trim = trimming.cascade_trim if mode == "cascade" else trimming.one_shot_trim
         net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, log_dir=log_dir, checkpoint_stem=stem)
     save_model(net, model_out)
@@ -149,11 +155,7 @@ def cmd_trim(cfg: dict, args) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    manifest_path = _require(cfg, "manifest", "eval")
-    _check_exists(manifest_path, "manifest")
-    manifest = data.DatasetManifest.from_json(manifest_path)
-    if args.scale:
-        manifest.scale = args.scale
+    manifest = _manifest(cfg, args, "eval")
     for path in manifest.paths("test"):
         _check_exists(path, "test image")
     net = None

@@ -209,7 +209,6 @@ class DatasetManifest:
 class PatchSet:
     lr: np.ndarray  # (N, 1, lr_size, lr_size) float32
     hr: np.ndarray  # (N, 1, hr_size, hr_size) float32
-    sources: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.lr.shape[0] != self.hr.shape[0]:
@@ -232,13 +231,12 @@ def extract_patches(
     h, w = hr.shape[2], hr.shape[3]
     if h < ps or w < ps:
         raise ManifestError(f"image {source or '<tensor>'} smaller than {ps}x{ps} after crop: {h}x{w}")
-    lrs, hrs, tags = [], [], []
+    lrs, hrs = [], []
     for r in range(0, h - ps + 1, stride):
         for c in range(0, w - ps + 1, stride):
             lrs.append(lr_full[0, :, r : r + ps, c : c + ps])
             hrs.append(hr[0, :, r + BORDER : r + BORDER + hs, c + BORDER : c + BORDER + hs])
-            tags.append(f"{source}@{r},{c}")
-    return PatchSet(np.stack(lrs), np.stack(hrs), tags)
+    return PatchSet(np.stack(lrs), np.stack(hrs))
 
 
 def build_patches(manifest: DatasetManifest, role: str = "train"):
@@ -257,13 +255,8 @@ def build_patches(manifest: DatasetManifest, role: str = "train"):
     if not sets:
         empty_lr = np.zeros((0, 1, manifest.patch.lr_size, manifest.patch.lr_size), dtype=FLOAT)
         empty_hr = np.zeros((0, 1, manifest.patch.hr_size, manifest.patch.hr_size), dtype=FLOAT)
-        return PatchSet(empty_lr, empty_hr, []), warnings
-    merged = PatchSet(
-        np.concatenate([s.lr for s in sets]),
-        np.concatenate([s.hr for s in sets]),
-        [t for s in sets for t in s.sources],
-    )
-    return merged, warnings
+        return PatchSet(empty_lr, empty_hr), warnings
+    return PatchSet(np.concatenate([s.lr for s in sets]), np.concatenate([s.hr for s in sets])), warnings
 
 
 def save_patches(patches: PatchSet, path: str) -> None:
@@ -297,4 +290,4 @@ def load_patches(path: str) -> PatchSet:
         raise ImageFormatError(f"{path}: payload size mismatch")
     lr = np.frombuffer(blob, dtype="<f4", count=lr_count, offset=36).reshape(n, *lr_dims)
     hr = np.frombuffer(blob, dtype="<f4", count=hr_count, offset=36 + 4 * lr_count).reshape(n, *hr_dims)
-    return PatchSet(lr.astype(FLOAT), hr.astype(FLOAT), [f"cache:{path}[{i}]" for i in range(n)])
+    return PatchSet(lr.astype(FLOAT), hr.astype(FLOAT))

@@ -5,9 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,14 +141,6 @@ class EvalReport:
             fh.write("\n")
 
 
-def worker_count() -> int:
-    """Worker bound from CT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _eval_one(net, path, scale, border):
     try:
         hr = crop_to_multiple(load_image(path), scale)
@@ -169,18 +159,13 @@ def _eval_one(net, path, scale, border):
 
 def benchmark(net: NetworkModel | None, manifest: DatasetManifest, net_id: str = "") -> EvalReport:
     """Degrade, super-resolve (or pass through for the bicubic baseline),
-    and score every test image. Ground truth is center-cropped to match the
-    network output so all methods are scored on identical pixels.
+    and score every test image, one at a time in manifest order (the BLAS
+    library threads each convolution). Ground truth is center-cropped to
+    match the network output so all methods are scored on identical pixels.
     """
     if net_id == "":
         net_id = "bicubic" if net is None else f"net-d{net.depth}"
     border = net_border(net)
     report = EvalReport(net_id=net_id, scale=manifest.scale)
-    paths = manifest.paths("test")
-    workers = worker_count()
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            report.rows = list(pool.map(lambda p: _eval_one(net, p, manifest.scale, border), paths))
-    else:
-        report.rows = [_eval_one(net, p, manifest.scale, border) for p in paths]
+    report.rows = [_eval_one(net, p, manifest.scale, border) for p in manifest.paths("test")]
     return report

@@ -8,13 +8,11 @@ and is deterministic for fixed inputs and a fixed BLAS thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FLOAT = np.float32
-
-RNG_ALGORITHM = "pcg64"  # numpy PCG64 behind default_rng
 
 
 class ShapeMismatchError(ValueError):
@@ -29,7 +27,7 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class RngState:
-    """Reproducible random source: a 64-bit seed plus a fixed generator.
+    """Reproducible random source: a 64-bit seed for numpy's PCG64 generator.
 
     Identical seed and call sequence give identical streams on every
     platform. Children derived through ``child`` get independent streams
@@ -37,11 +35,6 @@ class RngState:
     """
 
     seed: int
-    algorithm: str = field(default=RNG_ALGORITHM)
-
-    def __post_init__(self):
-        if self.algorithm != RNG_ALGORITHM:
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -106,18 +99,10 @@ def _check_conv_args(x, kernel, bias, pad):
     return co, ci, kh, kw, oh, ow
 
 
-def conv2d_forward_cols(
-    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc64: bool = True
-):
-    """Cross-correlation plus bias; also returns the unfolded input columns.
-
-    The columns are what the backward pass needs for the kernel gradient, so
-    the training loop keeps them instead of re-unfolding. acc64 selects
-    float64 accumulation (the public-op precision contract); the training
-    loop turns it off and accumulates in the storage dtype for speed.
-    """
+def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc):
+    """Cross-correlation plus bias accumulated in dtype acc; also returns the
+    unfolded input columns."""
     co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
-    acc = np.float64 if acc64 else x.dtype
     cols, oh, ow = _im2col(x, kh, kw, pad, acc)
     out = np.matmul(kernel.reshape(co, -1).astype(acc, copy=False), cols)
     out += bias.astype(acc, copy=False)[:, None]
@@ -125,9 +110,19 @@ def conv2d_forward_cols(
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 cross-correlation of a 4-D batch with square kernels."""
-    out, _ = conv2d_forward_cols(x, kernel, bias, pad)
-    return out
+    """Stride-1 cross-correlation of a 4-D batch with square kernels,
+    accumulated in float64."""
+    return _conv(x, kernel, bias, pad, np.float64)[0]
+
+
+def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
+    """Training forward: conv2d_forward accumulated in the input's dtype,
+    plus the unfolded input columns.
+
+    The columns are what the backward pass needs for the kernel gradient, so
+    the training loop keeps them instead of re-unfolding.
+    """
+    return _conv(x, kernel, bias, pad, x.dtype)
 
 
 def conv2d_backward_from_cols(
@@ -137,9 +132,9 @@ def conv2d_backward_from_cols(
     pad: int,
     cols: np.ndarray,
     need_grad_input: bool = True,
-    acc64: bool = True,
 ):
-    """Backward pass given the forward pass's unfolded columns."""
+    """Backward pass given the forward pass's unfolded columns, accumulated
+    in the columns' dtype."""
     co, ci, kh, kw = kernel.shape
     n, _, oh, ow = grad_output.shape
     go3 = grad_output.reshape(n, co, oh * ow).astype(cols.dtype, copy=False)
@@ -153,12 +148,13 @@ def conv2d_backward_from_cols(
         # flipped spatially and transposed in/out, padded to undo the forward pad
         flipped = np.ascontiguousarray(kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         zero_bias = np.zeros(ci, dtype=kernel.dtype)
-        grad_input, _ = conv2d_forward_cols(grad_output, flipped, zero_bias, kh - 1 - pad, acc64=acc64)
+        grad_input, _ = _conv(grad_output, flipped, zero_bias, kh - 1 - pad, cols.dtype)
     return grad_input, grad_kernel, grad_bias
 
 
 def conv2d_backward(x: np.ndarray, kernel: np.ndarray, grad_output: np.ndarray, pad: int):
-    """Analytical gradients of a scalar loss through conv2d_forward.
+    """Analytical gradients of a scalar loss through conv2d_forward,
+    accumulated in float64.
 
     Returns (grad_input, grad_kernel, grad_bias).
     """

@@ -31,7 +31,6 @@ from .model import NetworkModel, StageLog, build_network, insert_layers, param_c
 class TrainConfig:
     learning_rate: float = 0.0001
     plateau_threshold: float = 0.03
-    insert_count: int = 2
     target_depth: int = 3
     batch_size: int = 64
     max_epochs_per_stage: int = 100
@@ -45,8 +44,8 @@ class TrainConfig:
         # learning_rate 0 is allowed as an evaluation-only pass
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.max_epochs_per_stage < 0 or self.insert_count < 1:
-            raise ValueError("batch_size >= 1, max_epochs_per_stage >= 0, insert_count >= 1 required")
+        if self.batch_size < 1 or self.max_epochs_per_stage < 0:
+            raise ValueError("batch_size >= 1 and max_epochs_per_stage >= 0 required")
 
 
 class NonFiniteLossError(ValueError):
@@ -63,13 +62,13 @@ def plateau_reached(prev_loss: float, curr_loss: float, threshold: float) -> boo
 def _forward_tape(net: NetworkModel, x: np.ndarray):
     """Forward pass keeping pre-activations and unfolded columns per layer.
 
-    Accumulates in the storage dtype (float32): the SGD path trades the
-    public ops' 64-bit accumulation for speed; determinism is unaffected.
+    Accumulates in the storage dtype (float32): the SGD path trades
+    conv2d_forward's 64-bit accumulation for speed; determinism is unaffected.
     """
     tape = []
     h = x
     for layer in net.layers:
-        pre, cols = ops.conv2d_forward_cols(h, layer.weights, layer.bias, layer.spec.pad, acc64=False)
+        pre, cols = ops.conv2d_forward_cols(h, layer.weights, layer.bias, layer.spec.pad)
         post = np.maximum(pre, 0) if layer.spec.activation == "rectifier" else pre
         tape.append((h, cols, pre))
         h = post
@@ -87,7 +86,7 @@ def _train_batch(net: NetworkModel, x: np.ndarray, y: np.ndarray, lr: float) -> 
         if layer.spec.activation == "rectifier":
             grad = ops.relu_backward(pre, grad)
         grad, grad_w, grad_b = ops.conv2d_backward_from_cols(
-            inp.shape, layer.weights, grad, layer.spec.pad, cols, need_grad_input=index > 0, acc64=False
+            inp.shape, layer.weights, grad, layer.spec.pad, cols, need_grad_input=index > 0
         )
         ops.sgd_step([layer.weights, layer.bias], [grad_w, grad_b], lr)
     return loss
@@ -165,7 +164,7 @@ def _grow(net, rng, patches, cfg, log_dir, checkpoint_stem):
             if net.depth >= cfg.target_depth:
                 break
             stage += 1
-            net = insert_layers(net, rng.child(1, stage), how_many=cfg.insert_count)
+            net = insert_layers(net, rng.child(1, stage))
     finally:
         logger.close()
     return net, list(net.stage_history)

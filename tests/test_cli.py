@@ -62,6 +62,15 @@ class TestPrepare:
         cli.main(["prepare", "--config", str(config_path)])
         assert (tmp / "train.ctpd").read_bytes() == first
 
+    def test_config_scale_used_when_no_flag(self, workspace):
+        tmp, config, config_path = workspace
+        assert cli.main(["prepare", "--config", str(config_path), "--scale", "3"]) == 0
+        flagged = (tmp / "train.ctpd").read_bytes()
+        config["scale"] = 3  # the manifest says x2
+        rewrite(config_path, config)
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        assert (tmp / "train.ctpd").read_bytes() == flagged
+
     def test_missing_image_names_path(self, workspace, capsys):
         tmp, config, config_path = workspace
         manifest = data.DatasetManifest.from_json(config["manifest"])
@@ -110,6 +119,11 @@ class TestTrain:
         rewrite(config_path, config)
         assert cli.main(["train", "--config", str(config_path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+        del config["surprise"]
+        config["train"]["insert_count"] = 2
+        rewrite(config_path, config)
+        assert cli.main(["train", "--config", str(config_path)]) == 1
+        assert "unknown train config keys: ['insert_count']" in capsys.readouterr().err
 
     def test_bad_config_invariant_rejected(self, workspace, capsys):
         tmp, config, config_path = workspace

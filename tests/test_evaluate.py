@@ -143,13 +143,9 @@ class TestBenchmark:
         assert [r.psnr_db for r in a.rows] == [r.psnr_db for r in b.rows]
         assert [r.ssim for r in a.rows] == [r.ssim for r in b.rows]
 
-    def test_ct_threads_worker_bound(self, corpus, monkeypatch):
-        monkeypatch.setenv("CT_THREADS", "2")
-        assert evaluate.worker_count() == 2
+    def test_rows_follow_manifest_order(self, corpus):
         report = evaluate.benchmark(None, corpus)
         assert [r.image for r in report.rows] == corpus.paths("test")
-        monkeypatch.setenv("CT_THREADS", "junk")
-        assert evaluate.worker_count() == 1
 
 
 class TestNetBorder:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,35 @@ class TestConvBackward:
         assert relative_error(gb, central_differences(loss, b)) < 1e-4
 
 
+class TestConvEntryPoints:
+    def test_names_and_leading_parameters(self):
+        def leading(fn, n):
+            return list(inspect.signature(fn).parameters)[:n]
+
+        assert leading(ops.conv2d_forward, 4) == ["x", "kernel", "bias", "pad"]
+        assert leading(ops.conv2d_forward_cols, 4) == ["x", "kernel", "bias", "pad"]
+        assert leading(ops.conv2d_backward_from_cols, 6) == [
+            "x_shape", "kernel", "grad_output", "pad", "cols", "need_grad_input"
+        ]
+        assert inspect.signature(ops.conv2d_backward_from_cols).parameters["need_grad_input"].default is True
+        assert leading(ops.conv2d_backward, 4) == ["x", "kernel", "grad_output", "pad"]
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_training_pair_stays_float32_and_matches(self, rng, pad):
+        x = rand_tensor(rng, 2, 3, 7, 7)
+        k = rand_tensor(rng, 4, 3, 3, 3)
+        b = rand_tensor(rng, 4)
+        out, cols = ops.conv2d_forward_cols(x, k, b, pad)
+        assert out.dtype == np.float32 and cols.dtype == np.float32
+        np.testing.assert_allclose(out, ops.conv2d_forward(x, k, b, pad), rtol=1e-5, atol=1e-5)
+        go = rand_tensor(rng, *out.shape)
+        got = ops.conv2d_backward_from_cols(x.shape, k, go, pad, cols)
+        for g, want in zip(got, ops.conv2d_backward(x, k, go, pad)):
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-5)
+        assert ops.conv2d_backward_from_cols(x.shape, k, go, pad, cols, need_grad_input=False)[0] is None
+
+
 class TestRelu:
     def test_examples(self):
         x = np.array([-1.0, 0.0, 2.0], np.float32).reshape(1, 1, 1, 3)
@@ -225,7 +256,3 @@ class TestRngState:
         c = ops.RngState(5).child(1, 3).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_algorithm_pinned(self):
-        with pytest.raises(ValueError):
-            ops.RngState(0, algorithm="mt19937")

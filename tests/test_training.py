@@ -10,7 +10,7 @@ def make_patchset(n=48, lr_size=21, seed=0):
     hr_size = lr_size - 16
     lr = r.random((n, 1, lr_size, lr_size), dtype=np.float32)
     hr = r.random((n, 1, hr_size, hr_size), dtype=np.float32)
-    return data.PatchSet(lr, hr, [f"synthetic:{i}" for i in range(n)])
+    return data.PatchSet(lr, hr)
 
 
 def quick_cfg(**kw):
@@ -46,7 +46,6 @@ class TestTrainConfig:
         cfg = training.TrainConfig()
         assert cfg.learning_rate == 0.0001
         assert cfg.plateau_threshold == 0.03
-        assert cfg.insert_count == 2
         assert cfg.batch_size == 64
 
     def test_invariants(self):
@@ -94,7 +93,7 @@ class TestRunEpoch:
     def test_overfits_single_patch(self):
         img = synthetic_image(np.random.default_rng(5), 40, 40)
         patch = data.extract_patches(img, 2, data.PatchParams(33, 33, 17), source="one")
-        single = data.PatchSet(patch.lr[:1], patch.hr[:1], patch.sources[:1])
+        single = data.PatchSet(patch.lr[:1], patch.hr[:1])
         net = model.build_base_network(ops.RngState(7))
         cfg = quick_cfg(learning_rate=0.5, batch_size=1, max_epochs_per_stage=1)
         losses = []

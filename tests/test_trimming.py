@@ -18,7 +18,6 @@ def tiny_patches(n=16, lr_size=21, seed=0):
     return data.PatchSet(
         r.random((n, 1, lr_size, lr_size), dtype=np.float32),
         r.random((n, 1, lr_size - 16, lr_size - 16), dtype=np.float32),
-        [],
     )
 
 
