@@ -8,7 +8,9 @@ half the network's border shrink (8 pixels for the default patch geometry).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +23,22 @@ PATCH_FORMAT_VERSION = 1
 
 # border lost through the unpadded 9/5/5 layers, per side
 BORDER = 8
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "wb"):
+    """Write through a temp file beside path that replaces path only when
+    the block completes; on an error the temp file is removed and path is
+    left as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class ImageFormatError(ValueError):
@@ -265,29 +283,31 @@ def save_patches(patches: PatchSet, path: str) -> None:
     header = PATCH_MAGIC + struct.pack(
         "<II", PATCH_FORMAT_VERSION, n
     ) + struct.pack("<III", *patches.lr.shape[1:]) + struct.pack("<III", *patches.hr.shape[1:])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(patches.lr, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(patches.hr, dtype="<f4").tobytes())
 
 
 def load_patches(path: str) -> PatchSet:
+    """Read a patch cache; each array is read once, straight into its own
+    writable float32 array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != PATCH_MAGIC:
-        raise ImageFormatError(f"{path}: bad magic {blob[:4]!r}")
-    try:
-        version, n = struct.unpack_from("<II", blob, 4)
-        lr_dims = struct.unpack_from("<III", blob, 12)
-        hr_dims = struct.unpack_from("<III", blob, 24)
-    except struct.error as exc:
-        raise ImageFormatError(f"{path}: truncated header") from exc
-    if version != PATCH_FORMAT_VERSION:
-        raise ImageFormatError(f"{path}: unsupported version {version}")
-    lr_count = n * int(np.prod(lr_dims))
-    hr_count = n * int(np.prod(hr_dims))
-    if len(blob) != 36 + 4 * (lr_count + hr_count):
-        raise ImageFormatError(f"{path}: payload size mismatch")
-    lr = np.frombuffer(blob, dtype="<f4", count=lr_count, offset=36).reshape(n, *lr_dims)
-    hr = np.frombuffer(blob, dtype="<f4", count=hr_count, offset=36 + 4 * lr_count).reshape(n, *hr_dims)
-    return PatchSet(lr.astype(FLOAT), hr.astype(FLOAT))
+        header = fh.read(36)
+        if header[:4] != PATCH_MAGIC:
+            raise ImageFormatError(f"{path}: bad magic {header[:4]!r}")
+        try:
+            version, n = struct.unpack_from("<II", header, 4)
+            lr_dims = struct.unpack_from("<III", header, 12)
+            hr_dims = struct.unpack_from("<III", header, 24)
+        except struct.error as exc:
+            raise ImageFormatError(f"{path}: truncated header") from exc
+        if version != PATCH_FORMAT_VERSION:
+            raise ImageFormatError(f"{path}: unsupported version {version}")
+        lr_count = n * int(np.prod(lr_dims))
+        hr_count = n * int(np.prod(hr_dims))
+        if os.fstat(fh.fileno()).st_size != 36 + 4 * (lr_count + hr_count):
+            raise ImageFormatError(f"{path}: payload size mismatch")
+        lr = np.fromfile(fh, dtype="<f4", count=lr_count).reshape(n, *lr_dims)
+        hr = np.fromfile(fh, dtype="<f4", count=hr_count).reshape(n, *hr_dims)
+    return PatchSet(lr.astype(FLOAT, copy=False), hr.astype(FLOAT, copy=False))

@@ -7,7 +7,8 @@ training patches shareable across growth stages.
 
 Model files are little-endian binary with magic "CTSR" (format below); a
 JSON sidecar with the same stem duplicates the layer specs and stage history
-for inspection. The binary file is authoritative.
+for inspection. The binary file is authoritative. A save replaces both
+files only once both are written in full.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_write
 from .ops import FLOAT, RngState, check_tensor4, conv2d_forward, conv2d_output_size, gaussian_init
 
 MAGIC = b"CTSR"
@@ -27,6 +29,9 @@ ACT_NONE = "none"
 ACT_RELU = "rectifier"
 _ACT_CODES = {ACT_NONE: 0, ACT_RELU: 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+
+# bytes of the widest activation forward holds per band of output rows
+BAND_BUDGET = 16 << 20
 
 # init std for every built layer, and the noise added to each inserted layer's identity tap
 GAUSSIAN_SIGMA = 0.001
@@ -238,22 +243,59 @@ def insert_layers(
 
 
 def forward(net: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """Whole-network forward pass."""
+    """Whole-network forward pass, streamed through all layers in bands of
+    output rows.
+
+    Each band of at most BAND_BUDGET bytes of the widest activation runs
+    through the whole chain (fused-layer streaming, Alwani et al., MICRO
+    2016): every layer computes only the rows the next one reads, its k - 1
+    row halo included, and padded layers get zero rows only at the image's
+    true top and bottom. Peak memory is bounded by band x width x widest
+    layer, whatever the image height; each output pixel is the same sum, in
+    the same order, as a whole-image pass.
+    """
     check_tensor4(x, "input")
     if x.shape[1] != 1:
         raise InvalidNetworkError(f"network takes 1 input channel, got {x.shape[1]}")
-    h = x
+    heights, width = [x.shape[2]], x.shape[3]
     for index, layer in enumerate(net.layers):
         s = layer.spec
-        if conv2d_output_size(h.shape[2], s.kernel_size, s.pad) < 1 or (
-            conv2d_output_size(h.shape[3], s.kernel_size, s.pad) < 1
-        ):
+        oh = conv2d_output_size(heights[-1], s.kernel_size, s.pad)
+        ow = conv2d_output_size(width, s.kernel_size, s.pad)
+        if oh < 1 or ow < 1:
             raise InvalidNetworkError(
-                f"input too small: layer {index} (kernel {s.kernel_size}) gets {h.shape[2]}x{h.shape[3]}"
+                f"input too small: layer {index} (kernel {s.kernel_size}) gets {heights[-1]}x{width}"
             )
-        h = conv2d_forward(h, layer.weights, layer.bias, s.pad)
+        heights.append(oh)
+        width = ow
+    widest = max(l.spec.out_filters for l in net.layers)
+    rows = max(1, BAND_BUDGET // (x.shape[0] * widest * x.shape[3] * x.itemsize))
+    out = np.empty((x.shape[0], 1, heights[-1], width), dtype=x.dtype)
+    for top in range(0, heights[-1], rows):
+        bottom = min(top + rows, heights[-1])
+        out[:, :, top:bottom] = _forward_band(net, x, heights, top, bottom)
+    return out
+
+
+def _forward_band(net: NetworkModel, x: np.ndarray, heights: list[int], top: int, bottom: int) -> np.ndarray:
+    """Output rows [top, bottom) of the network; heights[i] is layer i's input height."""
+    # spans[i]: the rows of layer i's input (layer i-1's output) that the band needs
+    spans = [(top, bottom)]
+    for i in reversed(range(net.depth)):
+        s = net.layers[i].spec
+        lo, hi = spans[0]
+        spans.insert(0, (max(0, lo - s.pad), min(heights[i], hi - s.pad + s.kernel_size - 1)))
+    h = x[:, :, spans[0][0] : spans[0][1]]
+    for i, layer in enumerate(net.layers):
+        s = layer.spec
+        if s.pad:
+            (lo, hi), (olo, ohi) = spans[i], spans[i + 1]
+            # zero rows where the wanted rows reach past the image, zero columns on both sides
+            zero_rows = (lo - (olo - s.pad), (ohi - s.pad + s.kernel_size - 1) - hi)
+            h = np.pad(h, ((0, 0), (0, 0), zero_rows, (s.pad, s.pad)))
+        h = conv2d_forward(h, layer.weights, layer.bias, 0)
         if s.activation == ACT_RELU:
-            h = np.maximum(h, 0)
+            np.maximum(h, 0, out=h)
     return h
 
 
@@ -282,8 +324,6 @@ def save_model(net: NetworkModel, path: str) -> None:
         )
         parts.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
     sidecar = {
         "format_version": FORMAT_VERSION,
         "scale": net.scale,
@@ -299,9 +339,11 @@ def save_model(net: NetworkModel, path: str) -> None:
         ],
         "stage_history": [log.to_dict() for log in net.stage_history],
     }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # both files are replaced only once both are written in full
+    with atomic_write(path) as fh, atomic_write(_sidecar_path(path), "w") as side:
+        fh.write(b"".join(parts))
+        json.dump(sidecar, side, indent=2, sort_keys=True)
+        side.write("\n")
 
 
 def load_model(path: str) -> NetworkModel:

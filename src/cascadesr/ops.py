@@ -14,6 +14,9 @@ import numpy as np
 
 FLOAT = np.float32
 
+# bytes of float64 input columns conv2d_forward unfolds at once
+COLS_BUDGET = 8 << 20
+
 
 class ShapeMismatchError(ValueError):
     """Two tensors disagree on a dimension that must match."""
@@ -111,8 +114,27 @@ def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc):
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
     """Stride-1 cross-correlation of a 4-D batch with square kernels,
-    accumulated in float64."""
-    return _conv(x, kernel, bias, pad, np.float64)[0]
+    accumulated in float64.
+
+    The input is unfolded and multiplied one band of output rows at a time,
+    each band's float64 columns kept under COLS_BUDGET bytes, and every band
+    is written into one preallocated output. Each output value is the same
+    sum, in the same order, as with one unfold of the whole input.
+    """
+    co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
+    n = x.shape[0]
+    xp = _pad_cast(x, pad, x.dtype) if pad else x
+    weights = kernel.reshape(co, -1).astype(np.float64, copy=False)
+    bias64 = bias.astype(np.float64)[:, None]
+    out = np.empty((n, co, oh, ow), dtype=x.dtype)
+    rows = max(1, COLS_BUDGET // (n * ci * kh * kw * ow * 8))
+    for top in range(0, oh, rows):
+        bottom = min(top + rows, oh)
+        cols, _, _ = _im2col(xp[:, :, top : bottom + kh - 1], kh, kw, 0, np.float64)
+        band = np.matmul(weights, cols)
+        band += bias64
+        out[:, :, top:bottom] = band.reshape(n, co, bottom - top, ow)
+    return out
 
 
 def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):

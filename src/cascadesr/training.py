@@ -140,10 +140,9 @@ class _TrainLogger:
         self.writer = None
         if log_dir is not None:
             os.makedirs(log_dir, exist_ok=True)
-            self.fh = open(os.path.join(log_dir, "train_log.csv"), "a", newline="")
+            self.fh = open(os.path.join(log_dir, "train_log.csv"), "w", newline="")
             self.writer = csv.writer(self.fh)
-            if self.fh.tell() == 0:
-                self.writer.writerow(["stage_index", "depth", "epoch", "mean_loss", "wall_seconds"])
+            self.writer.writerow(["stage_index", "depth", "epoch", "mean_loss", "wall_seconds"])
 
     def close(self):
         if self.fh is not None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,3 +222,43 @@ class TestPatchCache:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(data.ImageFormatError, match="size"):
             data.load_patches(str(p))
+
+    def test_load_holds_one_copy(self, tmp_path):
+        r = np.random.default_rng(8)
+        patches = data.PatchSet(
+            r.random((300, 1, 33, 33), dtype=np.float32), r.random((300, 1, 17, 17), dtype=np.float32)
+        )
+        p = tmp_path / "x.ctpd"
+        data.save_patches(patches, str(p))
+        payload = patches.lr.nbytes + patches.hr.nbytes
+        tracemalloc.start()
+        try:
+            loaded = data.load_patches(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * payload
+        assert loaded.lr.dtype == np.float32 and loaded.lr.flags.writeable and loaded.hr.flags.writeable
+        np.testing.assert_array_equal(loaded.hr, patches.hr)
+
+    def test_failed_save_leaves_old_cache(self, tmp_path, monkeypatch):
+        img = synthetic_image(np.random.default_rng(9), 66, 66)
+        patches = data.extract_patches(img, 2, data.PatchParams(), source="x")
+        p = tmp_path / "x.ctpd"
+        data.save_patches(patches, str(p))
+        before = p.read_bytes()
+        calls = []
+        real = np.ascontiguousarray
+
+        def fail_on_second(a, dtype=None):
+            calls.append(a)
+            if len(calls) == 2:  # the header and the LR payload are written by now
+                raise OSError("disk full")
+            return real(a, dtype=dtype)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_second)
+        shuffled = data.PatchSet(patches.lr[::-1], patches.hr[::-1])
+        with pytest.raises(OSError, match="disk full"):
+            data.save_patches(shuffled, str(p))
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["x.ctpd"]

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cascadesr import model, ops
+from cascadesr import model, ops, trimming
 
 TABLE_PARAMS = {
     3: 57_184,
@@ -21,6 +22,15 @@ TABLE_PARAMS = {
 @pytest.fixture
 def base_net():
     return model.build_base_network(ops.RngState(11))
+
+
+def he_weights(net, r):
+    """He-scaled random weights keep activations near unit scale, as in a trained net."""
+    for layer in net.layers:
+        fan_in = layer.weights[0].size
+        layer.weights[:] = r.standard_normal(layer.weights.shape).astype(np.float32) * np.sqrt(2 / fan_in)
+        layer.bias[:] = r.standard_normal(layer.bias.shape).astype(np.float32) * 0.05
+    return net
 
 
 class TestBuild:
@@ -82,13 +92,8 @@ class TestInsertLayers:
         assert model.param_count(grown) - model.param_count(net) == 2 * (3**2 * 32 * 32)
 
     def test_grown_network_keeps_parent_function(self):
-        # He-scaled weights keep activations near unit scale, as in a trained net
         r = np.random.default_rng(0)
-        net = model.build_base_network(ops.RngState(0))
-        for layer in net.layers:
-            fan_in = layer.weights[0].size
-            layer.weights[:] = r.standard_normal(layer.weights.shape).astype(np.float32) * np.sqrt(2 / fan_in)
-            layer.bias[:] = r.standard_normal(layer.bias.shape).astype(np.float32) * 0.05
+        net = he_weights(model.build_base_network(ops.RngState(0)), r)
         x = r.random((2, 1, 33, 33), dtype=np.float32)
         y = model.forward(net, x)
         rms = np.sqrt(np.mean(y**2))
@@ -128,6 +133,49 @@ class TestForward:
     def test_multi_channel_input_rejected(self, base_net):
         with pytest.raises(model.InvalidNetworkError):
             model.forward(base_net, np.ones((1, 3, 33, 33), np.float32))
+
+
+def whole_image_chain(net, x):
+    h = x
+    for layer in net.layers:
+        h = ops.conv2d_forward(h, layer.weights, layer.bias, layer.spec.pad)
+        if layer.spec.activation == model.ACT_RELU:
+            h = np.maximum(h, 0)
+    return h
+
+
+class TestStreamedForward:
+    @pytest.mark.parametrize("name", ["d7", "trim13"])
+    def test_matches_whole_image_chain(self, name):
+        if name == "d7":
+            net = he_weights(model.build_network(7, ops.RngState(7)), np.random.default_rng(7))
+        else:
+            d13 = he_weights(model.build_network(13, ops.RngState(13)), np.random.default_rng(13))
+            plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=1)
+            net, _ = trimming.cascade_trim(d13, None, None, plan)
+        widest = max(net.filter_counts())
+        width = 18
+        band_rows = model.BAND_BUDGET // (2 * widest * width * 4)
+        x = np.random.default_rng(3).random((2, 1, 2 * band_rows + 40, width), dtype=np.float32)
+        got = model.forward(net, x)
+        assert got.shape[2] > 2 * band_rows  # three bands or more
+        np.testing.assert_array_equal(got, whole_image_chain(net, x))
+
+    def test_peak_memory_does_not_grow_with_height(self):
+        net = he_weights(model.build_network(7, ops.RngState(2), mid_filters=4), np.random.default_rng(2))
+
+        def peak(rows):
+            x = np.random.default_rng(rows).random((1, 1, rows, 96), dtype=np.float32)
+            tracemalloc.start()
+            try:
+                y = model.forward(net, x)
+                return tracemalloc.get_traced_memory()[1], x.nbytes + y.nbytes
+            finally:
+                tracemalloc.stop()
+
+        short_peak, short_bytes = peak(1600)
+        tall_peak, tall_bytes = peak(3200)
+        assert tall_peak - short_peak <= (tall_bytes - short_bytes) + (1 << 20)
 
 
 class TestMultiplyCount:
@@ -203,6 +251,21 @@ class TestSerialization:
         ]
         loaded = model.load_model(str(p))
         assert loaded.stage_history == base_net.stage_history
+
+    def test_failed_save_leaves_old_files(self, base_net, tmp_path, monkeypatch):
+        p = tmp_path / "m.ctsr"
+        model.save_model(base_net, str(p))
+        before = p.read_bytes(), (tmp_path / "m.json").read_bytes()
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model.json, "dump", partial_dump)
+        with pytest.raises(OSError, match="disk full"):
+            model.save_model(model.insert_layers(base_net, ops.RngState(1)), str(p))
+        assert (p.read_bytes(), (tmp_path / "m.json").read_bytes()) == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.ctsr", "m.json"]
 
     def test_invariants_checked_on_load(self, tmp_path):
         # hand-build a file whose chain is broken (layer0 out=2 feeds in=3)

@@ -79,6 +79,23 @@ class TestConvForward:
         assert a.tobytes() == c.tobytes()
 
 
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_banded_equals_one_whole_unfold(self, rng, pad):
+        x = rand_tensor(rng, 2, 16, 200, 40)
+        k = rand_tensor(rng, 8, 16, 5, 5)
+        b = rand_tensor(rng, 8)
+        n, c, h, w = x.shape
+        oh, ow = h + 2 * pad - 4, w + 2 * pad - 4
+        assert oh * n * c * 25 * ow * 8 > 2 * ops.COLS_BUDGET  # at least three bands
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (5, 5), axis=(2, 3))
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 25, oh * ow)
+        whole = np.matmul(k.reshape(8, -1).astype(np.float64), cols)
+        whole += b.astype(np.float64)[:, None]
+        want = whole.reshape(n, 8, oh, ow).astype(np.float32)
+        np.testing.assert_array_equal(ops.conv2d_forward(x, k, b, pad), want)
+
+
 class TestConvBackward:
     def test_zero_grad_output(self, rng):
         x = rand_tensor(rng, 1, 2, 5, 5)

@@ -165,6 +165,15 @@ class TestCascadeTrain:
         assert len(lines) == 4  # 3 stages x 1 epoch
 
 
+    def test_log_holds_one_run(self, tmp_path):
+        patches = make_patchset(n=16)
+        training.cascade_train(patches, quick_cfg(target_depth=5, max_epochs_per_stage=1), log_dir=str(tmp_path))
+        training.cascade_train(patches, quick_cfg(target_depth=3, max_epochs_per_stage=2), log_dir=str(tmp_path))
+        lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
+        assert lines[0] == "stage_index,depth,epoch,mean_loss,wall_seconds"
+        assert [line.split(",")[:3] for line in lines[1:]] == [["0", "3", "0"], ["0", "3", "1"]]
+
+
 class TestOneShotTrain:
     def test_architecture_matches_cascade(self):
         patches = make_patchset(n=8)
