@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Write a fixed-seed set of trained and trimmed artifacts and print their sha256.
+
+    PYTHONPATH=src python scripts/artifact_digests.py OUT_DIR
+
+Trains and trims on a small synthetic corpus with fixed seeds and writes 32
+files under OUT_DIR: the patch cache (.ctpd); the cascade d3/d5/d7, one-shot
+d5 and trim-train d3/d5/d7 checkpoints; every stage of cascade trimming and
+of independent and greedy one-shot trimming, each with and without
+fine-tuning; and the outputs of the CLI commands prepare, train (cascade and
+one-shot), trim (cascade, greedy one-shot, trim_train). It prints
+"sha256  name" per file, then the sha256 of that sorted list.
+
+Run it at two commits to show that a change keeps every artifact
+byte-identical. The digests depend on the numpy/BLAS build and the BLAS
+thread count, so compare runs made on one machine with one setting.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+from cascadesr import cli, data, synth, training, trimming
+
+SEED = 5
+CORPUS = dict(n_train=3, n_test=1, image_size=96, seed=11, scale=3, patch=data.PatchParams(21, 12, 5))
+TRAIN = dict(learning_rate=0.05, plateau_threshold=0.03, batch_size=8, max_epochs_per_stage=2, seed=SEED)
+
+
+def library_artifacts(out: str, patches: data.PatchSet):
+    cfg = training.TrainConfig(target_depth=7, **TRAIN)
+    d7, _ = training.cascade_train(patches, cfg, checkpoint_stem=f"{out}/cascade")
+    training.one_shot_train(patches, training.TrainConfig(target_depth=5, **TRAIN), checkpoint_stem=f"{out}/one_shot")
+    trimming.trim_train(patches, cfg, checkpoint_stem=f"{out}/trim_train")
+    for tuned, fine, fine_cfg in (("", None, None), ("_ft", patches, cfg)):
+        trimming.cascade_trim(d7, fine, fine_cfg, trimming.default_plan(7, trimming.MODE_CASCADE_TRIM, seed=SEED),
+                              checkpoint_stem=f"{out}/cascade_trim{tuned}")
+        for mode in (trimming.MODE_ONE_SHOT_INDEPENDENT, trimming.MODE_ONE_SHOT_GREEDY):
+            trimming.one_shot_trim(d7, trimming.default_plan(7, mode), fine, fine_cfg,
+                                   checkpoint_stem=f"{out}/{mode}{tuned}")
+
+
+def cli_artifacts(out: str, manifest: str):
+    config = os.path.join(out, "cli.json")
+    with open(config, "w") as fh:
+        json.dump({"seed": SEED, "manifest": manifest, "patches": f"{out}/cli_prepare.ctpd",
+                   "train": {"mode": "cascade", "target_depth": 5,
+                             **{k: v for k, v in TRAIN.items() if k != "seed"}}}, fh)
+    commands = [
+        ["prepare"],
+        ["train", "--out", f"{out}/cli_train.ctsr"],
+        ["train", "--mode", "one_shot", "--out", f"{out}/cli_one_shot.ctsr"],
+        ["trim", "--model", f"{out}/cli_train.ctsr", "--out", f"{out}/cli_cascade_trim.ctsr"],
+        ["trim", "--mode", "one_shot_greedy", "--model", f"{out}/cli_train.ctsr", "--out", f"{out}/cli_greedy.ctsr"],
+        ["trim", "--mode", "trim_train", "--out", f"{out}/cli_trim_train.ctsr"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--config", config])
+        if code != 0:
+            raise SystemExit(f"cascadesr {' '.join(argv)} exited {code}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out_dir", help="new or empty directory for the artifacts")
+    out = parser.parse_args().out_dir
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        raise SystemExit(f"{out} is not empty")
+    manifest = synth.make_corpus(os.path.join(out, "corpus"), **CORPUS)
+    patches, _ = data.build_patches(data.DatasetManifest.from_json(manifest), role="train")
+    data.save_patches(patches, f"{out}/patches.ctpd")
+    library_artifacts(out, patches)
+    cli_artifacts(out, manifest)
+
+    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd")))
+    lines = []
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    print("\n".join(lines))
+    print(f"{len(names)} files, sha256 of the list: {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -63,7 +63,6 @@ class SeedResult:
     seed: int
     cascade_psnr: dict = field(default_factory=dict)  # depth -> heldout PSNR
     cascade_epochs: dict = field(default_factory=dict)  # depth -> epochs used
-    cascade_losses: dict = field(default_factory=dict)  # depth -> per-epoch loss list
     one_shot5_psnr: float = float("nan")
     trim_psnr: dict = field(default_factory=dict)  # method -> heldout PSNR
 
@@ -81,7 +80,6 @@ def run_training_arms(patches: PatchSet, manifest: DatasetManifest, seed: int, w
         checkpoint = model.load_model(f"{stem}-d{log.depth}.ctsr")
         result.cascade_psnr[log.depth] = heldout_psnr(checkpoint, manifest)
         result.cascade_epochs[log.depth] = log.epochs
-        result.cascade_losses[log.depth] = list(log.losses)
         print(
             f"  seed {seed} cascade d{log.depth}: {log.epochs} epochs, "
             f"heldout {result.cascade_psnr[log.depth]:.2f} dB"

@@ -210,11 +210,6 @@ def build_network(
     return NetworkModel(layers, scale=scale).validate()
 
 
-def build_base_network(rng: RngState | np.random.Generator, scale: int = 2) -> NetworkModel:
-    """The 3-layer starting point: 64 9x9, 32 5x5, 1 5x5 filters, unpadded."""
-    return build_network(3, rng, scale=scale)
-
-
 def insert_layers(
     net: NetworkModel, rng: RngState | np.random.Generator, how_many: int = 2
 ) -> NetworkModel:

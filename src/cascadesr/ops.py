@@ -2,12 +2,16 @@
 
 All tensors are float32 numpy arrays. Image-like data ("tensor4") is laid out
 (batch, channels, height, width); convolution kernels are laid out
-(out_filters, in_channels, kh, kw). Every operation here is a pure function
-and is deterministic for fixed inputs and a fixed BLAS thread count.
+(out_filters, in_channels, kh, kw). Every operation here is deterministic
+for fixed inputs and a fixed BLAS thread count. Apart from sgd_step, which
+updates in place, each returns fresh arrays unless it is handed a Workspace
+(ws=) or an out= array to write into; training does so to reuse its arrays
+from batch to batch, with the same results bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,14 +106,52 @@ def _check_conv_args(x, kernel, bias, pad):
     return co, ci, kh, kw, oh, ow
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc):
+class Workspace:
+    """Arrays that the training entry points reuse from call to call.
+
+    Each array is kept under a key, zero-filled when first made, and made
+    again only when a call needs more elements or another dtype; a call
+    takes a view of its leading elements. A batch dimension that shrinks
+    (a partial last batch) keeps each sample's block in place, and padded
+    inputs are keyed by their padded shape and pad, so their zero borders,
+    written once, stay zero: calls write only the interior.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def array(self, key, shape: tuple, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        a = self._arrays.get(key)
+        if a is None or a.size < size or a.dtype != dtype:
+            a = self._arrays[key] = np.zeros(size, dtype)
+        return a[:size].reshape(shape)
+
+
+def _take(ws: Workspace | None, key, shape: tuple, dtype) -> np.ndarray:
+    """Workspace array, or a fresh zero array without a workspace."""
+    return np.zeros(shape, dtype) if ws is None else ws.array(key, shape, dtype)
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc, ws: Workspace | None, role: str):
     """Cross-correlation plus bias accumulated in dtype acc; also returns the
-    unfolded input columns."""
+    unfolded input columns. With a workspace the padded input, the columns
+    and the product live in its arrays under role."""
     co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
-    cols, oh, ow = _im2col(x, kh, kw, pad, acc)
-    out = np.matmul(kernel.reshape(co, -1).astype(acc, copy=False), cols)
+    n, _, h, w = x.shape
+    if pad:
+        xp = _take(ws, ("padded", ci, h + 2 * pad, w + 2 * pad, pad), (n, ci, h + 2 * pad, w + 2 * pad), acc)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+    else:
+        xp = x.astype(acc, copy=False)
+    s = xp.strides
+    windows = np.lib.stride_tricks.as_strided(xp, (n, ci, kh, kw, oh, ow), (s[0], s[1], s[2], s[3], s[2], s[3]))
+    cols = _take(ws, role + "_cols", (n, ci * kh * kw, oh * ow), acc)
+    np.copyto(cols.reshape(windows.shape), windows)
+    out = _take(ws, role + "_out", (n, co, oh * ow), acc)
+    np.matmul(kernel.reshape(co, -1).astype(acc, copy=False), cols, out=out)
     out += bias.astype(acc, copy=False)[:, None]
-    return out.reshape(x.shape[0], co, oh, ow).astype(x.dtype, copy=False), cols
+    return out.reshape(n, co, oh, ow).astype(x.dtype, copy=False), cols
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
@@ -137,14 +179,16 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int
     return out
 
 
-def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
+def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, *, ws: Workspace | None = None):
     """Training forward: conv2d_forward accumulated in the input's dtype,
     plus the unfolded input columns.
 
     The columns are what the backward pass needs for the kernel gradient, so
-    the training loop keeps them instead of re-unfolding.
+    the training loop keeps them instead of re-unfolding. With a workspace
+    both returned arrays live in it and are overwritten by its next use; a
+    caller that keeps them across calls gives each layer its own workspace.
     """
-    return _conv(x, kernel, bias, pad, x.dtype)
+    return _conv(x, kernel, bias, pad, x.dtype, ws, "forward")
 
 
 def conv2d_backward_from_cols(
@@ -154,23 +198,34 @@ def conv2d_backward_from_cols(
     pad: int,
     cols: np.ndarray,
     need_grad_input: bool = True,
+    *,
+    ws: Workspace | None = None,
 ):
     """Backward pass given the forward pass's unfolded columns, accumulated
-    in the columns' dtype."""
+    in the columns' dtype.
+
+    With a workspace the input and kernel gradients live in it and are
+    overwritten by its next use; one workspace can serve every layer in
+    turn. grad_output may be the input gradient an earlier call returned
+    from the same workspace: it is read in full before that array is
+    rewritten.
+    """
     co, ci, kh, kw = kernel.shape
     n, _, oh, ow = grad_output.shape
     go3 = grad_output.reshape(n, co, oh * ow).astype(cols.dtype, copy=False)
-    grad_kernel = (
-        np.matmul(go3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape).astype(kernel.dtype)
-    )
+    per_sample = _take(ws, "grad_kernel_stack", (n, co, ci * kh * kw), cols.dtype)
+    np.matmul(go3, cols.transpose(0, 2, 1), out=per_sample)
+    summed = per_sample.sum(axis=0, out=_take(ws, "grad_kernel", (co, ci * kh * kw), cols.dtype))
+    grad_kernel = summed.reshape(kernel.shape).astype(kernel.dtype, copy=False)
     grad_bias = grad_output.sum(axis=(0, 2, 3), dtype=cols.dtype).astype(kernel.dtype)
     grad_input = None
     if need_grad_input:
         # grad wrt input = cross-correlation of grad_output with the kernel
         # flipped spatially and transposed in/out, padded to undo the forward pad
-        flipped = np.ascontiguousarray(kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        flipped = _take(ws, "flipped", (ci, co, kh, kw), kernel.dtype)
+        np.copyto(flipped, kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         zero_bias = np.zeros(ci, dtype=kernel.dtype)
-        grad_input, _ = _conv(grad_output, flipped, zero_bias, kh - 1 - pad, cols.dtype)
+        grad_input, _ = _conv(grad_output, flipped, zero_bias, kh - 1 - pad, cols.dtype, ws, "grad_input")
     return grad_input, grad_kernel, grad_bias
 
 
@@ -191,8 +246,16 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, grad_output, FLOAT(0))
+def relu_backward(x: np.ndarray, grad_output: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """grad_output where x > 0, else +0, written into out (a fresh array by
+    default); out may be grad_output itself."""
+    # an integer multiply of the bit patterns by the 0/1 mask keeps them or
+    # writes +0: np.where's result bit for bit, without its per-element branch
+    bits = grad_output.view(f"u{grad_output.itemsize}")
+    if out is None:
+        return np.multiply(bits, x > 0).view(grad_output.dtype)
+    np.multiply(bits, x > 0, out=out.view(bits.dtype))
+    return out
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

@@ -59,7 +59,14 @@ def plateau_reached(prev_loss: float, curr_loss: float, threshold: float) -> boo
     return (prev_loss - curr_loss) / prev_loss < threshold
 
 
-def _forward_tape(net: NetworkModel, x: np.ndarray):
+def _workspaces(net: NetworkModel):
+    """One workspace per layer for what the tape keeps (padded input, columns,
+    pre- and post-activation), and one that every layer's backward pass
+    shares in turn."""
+    return [ops.Workspace() for _ in net.layers], ops.Workspace()
+
+
+def _forward_tape(net: NetworkModel, x: np.ndarray, layer_ws):
     """Forward pass keeping pre-activations and unfolded columns per layer.
 
     Accumulates in the storage dtype (float32): the SGD path trades
@@ -67,26 +74,30 @@ def _forward_tape(net: NetworkModel, x: np.ndarray):
     """
     tape = []
     h = x
-    for layer in net.layers:
-        pre, cols = ops.conv2d_forward_cols(h, layer.weights, layer.bias, layer.spec.pad)
-        post = np.maximum(pre, 0) if layer.spec.activation == "rectifier" else pre
-        tape.append((h, cols, pre))
+    for layer, ws in zip(net.layers, layer_ws):
+        pre, cols = ops.conv2d_forward_cols(h, layer.weights, layer.bias, layer.spec.pad, ws=ws)
+        post = pre
+        if layer.spec.activation == "rectifier":
+            post = np.maximum(pre, 0, out=ws.array("post", pre.shape, pre.dtype))
+        tape.append((h.shape, cols, pre))
         h = post
     return h, tape
 
 
-def _train_batch(net: NetworkModel, x: np.ndarray, y: np.ndarray, lr: float) -> float:
-    pred, tape = _forward_tape(net, x)
+def _train_batch(net: NetworkModel, x: np.ndarray, y: np.ndarray, lr: float, ws) -> float:
+    """One SGD step on a batch; ws is _workspaces(net), reused from batch to batch."""
+    layer_ws, backward_ws = ws
+    pred, tape = _forward_tape(net, x, layer_ws)
     loss, grad = ops.mse_loss(pred, y)
     if lr == 0:
         return loss
     for index in reversed(range(len(net.layers))):
         layer = net.layers[index]
-        inp, cols, pre = tape[index]
+        x_shape, cols, pre = tape[index]
         if layer.spec.activation == "rectifier":
-            grad = ops.relu_backward(pre, grad)
+            grad = ops.relu_backward(pre, grad, out=grad)
         grad, grad_w, grad_b = ops.conv2d_backward_from_cols(
-            inp.shape, layer.weights, grad, layer.spec.pad, cols, need_grad_input=index > 0
+            x_shape, layer.weights, grad, layer.spec.pad, cols, need_grad_input=index > 0, ws=backward_ws
         )
         ops.sgd_step([layer.weights, layer.bias], [grad_w, grad_b], lr)
     return loss
@@ -99,14 +110,17 @@ def run_epoch(
 
     Returns (net, mean per-element training loss over the epoch). The epoch
     and stage indices select the shuffle sub-stream so that repeated runs
-    reproduce exactly while successive epochs see different orders.
+    reproduce exactly while successive epochs see different orders. The
+    column and gradient arrays are made in the first batch and reused by
+    the rest of the epoch, which gives the same weights as fresh arrays.
     """
     n = patches.lr.shape[0]
     order = ops.RngState(cfg.seed).child(2, stage, epoch).permutation(n)
+    ws = _workspaces(net)
     total = 0.0
     for start in range(0, n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
-        loss = _train_batch(net, patches.lr[idx], patches.hr[idx], cfg.learning_rate)
+        loss = _train_batch(net, patches.lr[idx], patches.hr[idx], cfg.learning_rate, ws)
         total += loss * len(idx)
     return net, total / n
 

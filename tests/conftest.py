@@ -20,6 +20,15 @@ def rand_tensor(rng, *shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, shape).astype(FLOAT)
 
 
+def he_weights(net, r):
+    """He-scaled random weights keep activations near unit scale, as in a trained net."""
+    for layer in net.layers:
+        fan_in = layer.weights[0].size
+        layer.weights[:] = r.standard_normal(layer.weights.shape).astype(np.float32) * np.sqrt(2 / fan_in)
+        layer.bias[:] = r.standard_normal(layer.bias.shape).astype(np.float32) * 0.05
+    return net
+
+
 def naive_conv2d(x, kernel, bias, pad):
     """Sextuple-loop reference convolution (float64 accumulation)."""
     n, ci, h, w = x.shape

@@ -35,7 +35,7 @@ def report(criterion: str, passed: bool, detail: str):
 class TestCriterion1ParamCounts:
     def test_param_count_regression(self):
         built = [model.param_count(model.build_network(d, ops.RngState(0))) for d in range(3, 21, 2)]
-        net = model.build_base_network(ops.RngState(1))
+        net = model.build_network(3, ops.RngState(1))
         grown = [model.param_count(net)]
         for _ in range(8):
             net = model.insert_layers(net, ops.RngState(2))

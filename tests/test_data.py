@@ -139,7 +139,7 @@ class TestExtractPatches:
     def test_forward_shape_compatible(self):
         img = synthetic_image(np.random.default_rng(2), 66, 66)
         patches = data.extract_patches(img, 2, data.PatchParams(), source="img")
-        net = model.build_base_network(ops.RngState(0))
+        net = model.build_network(3, ops.RngState(0))
         out = model.forward(net, patches.lr[:1])
         assert out.shape == patches.hr[:1].shape
 

@@ -63,7 +63,7 @@ class TestSsim:
 
 class TestInferImage:
     def test_33_to_17(self):
-        net = model.build_base_network(ops.RngState(0))
+        net = model.build_network(3, ops.RngState(0))
         x = np.random.default_rng(0).random((1, 1, 33, 33), dtype=np.float32)
         assert evaluate.infer_image(net, x).shape == (1, 1, 17, 17)
 
@@ -73,7 +73,7 @@ class TestInferImage:
         assert evaluate.infer_image(net, x).shape == (1, 1, 34, 25)
 
     def test_zero_net_zero_output(self):
-        net = model.build_base_network(ops.RngState(0))
+        net = model.build_network(3, ops.RngState(0))
         for layer in net.layers:
             layer.weights[:] = 0
             layer.bias[:] = 0
@@ -98,7 +98,7 @@ class TestBenchmark:
         assert all(-1.0 <= r.ssim <= 1.0 for r in report.rows)
 
     def test_net_rows_match_border_crop(self, corpus):
-        net = model.build_base_network(ops.RngState(1))
+        net = model.build_network(3, ops.RngState(1))
         report = evaluate.benchmark(net, corpus, net_id="fresh")
         assert len(report.rows) == 3
         assert not any(r.error for r in report.rows)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cascadesr import model, ops, trimming
+from conftest import he_weights
 
 TABLE_PARAMS = {
     3: 57_184,
@@ -21,16 +22,7 @@ TABLE_PARAMS = {
 
 @pytest.fixture
 def base_net():
-    return model.build_base_network(ops.RngState(11))
-
-
-def he_weights(net, r):
-    """He-scaled random weights keep activations near unit scale, as in a trained net."""
-    for layer in net.layers:
-        fan_in = layer.weights[0].size
-        layer.weights[:] = r.standard_normal(layer.weights.shape).astype(np.float32) * np.sqrt(2 / fan_in)
-        layer.bias[:] = r.standard_normal(layer.bias.shape).astype(np.float32) * 0.05
-    return net
+    return model.build_network(3, ops.RngState(11))
 
 
 class TestBuild:
@@ -46,7 +38,7 @@ class TestBuild:
     def test_same_seed_serializes_identically(self, tmp_path):
         paths = []
         for i in range(2):
-            net = model.build_base_network(ops.RngState(42))
+            net = model.build_network(3, ops.RngState(42))
             p = tmp_path / f"m{i}.ctsr"
             model.save_model(net, str(p))
             paths.append(p)
@@ -58,7 +50,7 @@ class TestBuild:
         assert model.param_count(net) == expected
 
     def test_grown_network_matches_built_counts(self):
-        net = model.build_base_network(ops.RngState(1))
+        net = model.build_network(3, ops.RngState(1))
         for depth in range(5, 21, 2):
             net = model.insert_layers(net, ops.RngState(depth))
             assert model.param_count(net) == TABLE_PARAMS[depth]
@@ -93,7 +85,7 @@ class TestInsertLayers:
 
     def test_grown_network_keeps_parent_function(self):
         r = np.random.default_rng(0)
-        net = he_weights(model.build_base_network(ops.RngState(0)), r)
+        net = he_weights(model.build_network(3, ops.RngState(0)), r)
         x = r.random((2, 1, 33, 33), dtype=np.float32)
         y = model.forward(net, x)
         rms = np.sqrt(np.mean(y**2))
@@ -104,7 +96,7 @@ class TestInsertLayers:
             assert drift < 0.15 * rms, f"d{depth}: output moved by RMS {drift:.3g} vs signal RMS {rms:.3g}"
 
     def test_chain_invariant_preserved(self):
-        net = model.build_base_network(ops.RngState(5))
+        net = model.build_network(3, ops.RngState(5))
         for _ in range(3):
             net = model.insert_layers(net, ops.RngState(6))
             for a, b in zip(net.layers, net.layers[1:]):
@@ -186,7 +178,7 @@ class TestMultiplyCount:
 
     def test_padded_layers_keep_size(self):
         net = model.build_network(5, ops.RngState(0))
-        base = model.build_base_network(ops.RngState(0))
+        base = model.build_network(3, ops.RngState(0))
         delta = model.multiply_count(net, 33, 33) - model.multiply_count(base, 33, 33)
         assert delta == 2 * (32 * 9 * 32 * 21 * 21)
 
@@ -282,7 +274,7 @@ class TestSerialization:
 
 class TestValidation:
     def test_kernel_pattern_enforced(self):
-        net = model.build_base_network(ops.RngState(0))
+        net = model.build_network(3, ops.RngState(0))
         spec = net.layers[1].spec
         net.layers[1] = model.Layer(
             model.LayerSpec(3, spec.in_channels, spec.out_filters, 1, spec.activation),

@@ -186,6 +186,19 @@ class TestRelu:
             ops.relu_backward(x, g), np.array([0.0, 0.0, 1.0], np.float32).reshape(1, 1, 1, 3)
         )
 
+    def test_backward_leaves_grad_without_out(self, rng):
+        x = rand_tensor(rng, 2, 3, 4, 4)
+        g = rand_tensor(rng, 2, 3, 4, 4)
+        x.flat[:4] = [0.0, -0.0, np.nan, np.inf]
+        g.flat[4:8] = [-0.0, np.nan, -np.inf, np.inf]
+        before = g.copy()
+        want = np.where(x > 0, g, np.float32(0)).tobytes()
+        fresh = ops.relu_backward(x, g)
+        assert g.tobytes() == before.tobytes()
+        assert fresh.dtype == g.dtype and fresh.tobytes() == want
+        assert ops.relu_backward(x, g, out=g) is g
+        assert g.tobytes() == want
+
     def test_gradient_matches_finite_differences(self, rng):
         x = rng.uniform(0.05, 1.0, (1, 1, 3, 3)) * rng.choice([-1.0, 1.0], (1, 1, 3, 3))
         proj = rng.uniform(-1, 1, (1, 1, 3, 3))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cascadesr import data, model, ops, training
+from cascadesr import data, model, ops, training, trimming
 from cascadesr.synth import synthetic_image
+from conftest import he_weights
 
 
 def make_patchset(n=48, lr_size=21, seed=0):
@@ -62,7 +65,7 @@ class TestTrainConfig:
 class TestRunEpoch:
     def test_zero_learning_rate_leaves_weights(self):
         patches = make_patchset()
-        net = model.build_base_network(ops.RngState(1), scale=2)
+        net = model.build_network(3, ops.RngState(1), scale=2)
         before = [l.weights.copy() for l in net.layers]
         cfg = quick_cfg(learning_rate=0.0)
         net, loss_a = training.run_epoch(net, patches, cfg)
@@ -75,7 +78,7 @@ class TestRunEpoch:
         losses = []
         for _ in range(2):
             patches = make_patchset()
-            net = model.build_base_network(ops.RngState(1))
+            net = model.build_network(3, ops.RngState(1))
             cfg = quick_cfg()
             run = []
             for epoch in range(3):
@@ -94,7 +97,7 @@ class TestRunEpoch:
         img = synthetic_image(np.random.default_rng(5), 40, 40)
         patch = data.extract_patches(img, 2, data.PatchParams(33, 33, 17), source="one")
         single = data.PatchSet(patch.lr[:1], patch.hr[:1])
-        net = model.build_base_network(ops.RngState(7))
+        net = model.build_network(3, ops.RngState(7))
         cfg = quick_cfg(learning_rate=0.5, batch_size=1, max_epochs_per_stage=1)
         losses = []
         for epoch in range(200):
@@ -103,6 +106,68 @@ class TestRunEpoch:
         drops = sum(b < a for a, b in zip(losses, losses[1:]))
         assert drops >= 0.95 * (len(losses) - 1)
         assert losses[-1] < 0.1 * losses[0]
+
+
+def reference_epoch(net, patches, cfg, epoch):
+    """run_epoch written out with fresh arrays: every entry point called with ws=None."""
+    n = len(patches)
+    order = ops.RngState(cfg.seed).child(2, 0, epoch).permutation(n)
+    total = 0.0
+    for start in range(0, n, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        h, tape = patches.lr[idx], []
+        for layer in net.layers:
+            pre, cols = ops.conv2d_forward_cols(h, layer.weights, layer.bias, layer.spec.pad, ws=None)
+            tape.append((h.shape, cols, pre))
+            h = np.maximum(pre, 0) if layer.spec.activation == "rectifier" else pre
+        loss, grad = ops.mse_loss(h, patches.hr[idx])
+        for index in reversed(range(net.depth)):
+            layer = net.layers[index]
+            x_shape, cols, pre = tape[index]
+            if layer.spec.activation == "rectifier":
+                grad = ops.relu_backward(pre, grad, out=None)
+            grad, grad_w, grad_b = ops.conv2d_backward_from_cols(
+                x_shape, layer.weights, grad, layer.spec.pad, cols, need_grad_input=index > 0, ws=None
+            )
+            ops.sgd_step([layer.weights, layer.bias], [grad_w, grad_b], cfg.learning_rate)
+        total += loss * len(idx)
+    return total / n
+
+
+class TestReusedBuffers:
+    @pytest.mark.parametrize("trimmed", [False, True], ids=["d7", "cascade_trimmed_d7"])
+    def test_epochs_match_fresh_arrays_bit_for_bit(self, trimmed):
+        # 44 patches at batch 8: five full batches and a partial one; the
+        # trimmed net has 16-filter layers, both nets pad-0 and pad-1 layers
+        patches = make_patchset(n=44, seed=4)
+        net = he_weights(model.build_network(7, ops.RngState(2)), np.random.default_rng(6))
+        if trimmed:
+            plan = trimming.default_plan(7, trimming.MODE_CASCADE_TRIM, seed=1)
+            net, _ = trimming.cascade_trim(net, None, None, plan)
+            assert net.filter_counts() == [32, 16, 16, 16, 16, 16, 1]
+        reference = model.clone(net)
+        cfg = quick_cfg(learning_rate=0.001)
+        for epoch in range(2):
+            net, loss = training.run_epoch(net, patches, cfg, epoch=epoch)
+            assert loss == reference_epoch(reference, patches, cfg, epoch)
+        for got, want in zip(net.layers, reference.layers):
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got.bias, want.bias)
+
+    def test_batch_after_the_first_allocates_little(self):
+        # fresh arrays take 14.3 MiB per d7 batch of 8; the reused ones under 1 MiB
+        net = he_weights(model.build_network(7, ops.RngState(2)), np.random.default_rng(6))
+        patches = make_patchset(n=16)
+        ws = training._workspaces(net)
+        training._train_batch(net, patches.lr[:8], patches.hr[:8], 0.01, ws)
+        x, y = patches.lr[8:], patches.hr[8:]
+        tracemalloc.start()
+        try:
+            training._train_batch(net, x, y, 0.01, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
 
 class TestCascadeTrain:

@@ -40,7 +40,7 @@ class TestFilterImportance:
 
 class TestImportanceScores:
     def test_greedy_sees_removed_mass(self):
-        net = model.build_base_network(ops.RngState(3))
+        net = model.build_network(3, ops.RngState(3))
         # filter A of layer 1 takes all its mass from input channel 0
         w = net.layers[1].weights
         w[:] = 0
@@ -53,7 +53,7 @@ class TestImportanceScores:
         assert greedy[1] > 0
 
     def test_permutation_equivariant(self, rng):
-        net = model.build_base_network(ops.RngState(4))
+        net = model.build_network(3, ops.RngState(4))
         scores = trimming.importance_scores(net, 0)
         perm = rng.permutation(64)
         net.layers[0].weights[:] = net.layers[0].weights[perm]
@@ -151,7 +151,7 @@ class TestOneShotTrim:
         assert log.removed_filters == {}
 
     def test_lowest_scores_removed_with_index_ties(self):
-        net = model.build_base_network(ops.RngState(5))
+        net = model.build_network(3, ops.RngState(5))
         w = net.layers[0].weights
         w[:] = 1.0
         w[[2, 7, 11]] = 0.0  # three clearly-least-important filters
@@ -162,7 +162,7 @@ class TestOneShotTrim:
     def test_greedy_differs_from_independent(self):
         # layer-1 filters whose mass sits in channels removed from layer 0
         # score lower in greedy mode and get picked instead
-        net = model.build_base_network(ops.RngState(6))
+        net = model.build_network(3, ops.RngState(6))
         net.layers[0].weights[:] = 1.0
         net.layers[0].weights[:32] = 0.0  # first 32 filters of layer 0 go
         w1 = net.layers[1].weights
