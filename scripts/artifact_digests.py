@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Write a fixed-seed set of trained and trimmed artifacts and print their sha256.
+"""Write a fixed-seed set of trained and trimmed artifacts and inference
+outputs, and print their sha256.
 
     PYTHONPATH=src python scripts/artifact_digests.py OUT_DIR
 
@@ -8,8 +9,12 @@ files under OUT_DIR: the patch cache (.ctpd); the cascade d3/d5/d7, one-shot
 d5 and trim-train d3/d5/d7 checkpoints; every stage of cascade trimming and
 of independent and greedy one-shot trimming, each with and without
 fine-tuning; and the outputs of the CLI commands prepare, train (cascade and
-one-shot), trim (cascade, greedy one-shot, trim_train). It prints
-"sha256  name" per file, then the sha256 of that sorted list.
+one-shot), trim (cascade, greedy one-shot, trim_train). Beside them it writes
+16 inference outputs as .npy: model.forward of a He-scaled d7 and a
+cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input and on a
+tall narrow one that spans at least three of forward's row bands, and the
+float64 conv2d_forward and conv2d_backward results at pad 0 and pad 1. It
+prints "sha256  name" per file, then the sha256 of that sorted list.
 
 Run it at two commits to show that a change keeps every artifact
 byte-identical. The digests depend on the numpy/BLAS build and the BLAS
@@ -23,7 +28,9 @@ import io
 import json
 import os
 
-from cascadesr import cli, data, synth, training, trimming
+import numpy as np
+
+from cascadesr import cli, data, model, ops, synth, training, trimming
 
 SEED = 5
 CORPUS = dict(n_train=3, n_test=1, image_size=96, seed=11, scale=3, patch=data.PatchParams(21, 12, 5))
@@ -64,6 +71,38 @@ def cli_artifacts(out: str, manifest: str):
             raise SystemExit(f"cascadesr {' '.join(argv)} exited {code}")
 
 
+def he_scaled(net: model.NetworkModel, gen: np.random.Generator) -> model.NetworkModel:
+    """Fan-in-scaled weights keep activations near unit scale, as in a trained net."""
+    for layer in net.layers:
+        layer.weights[:] = gen.standard_normal(layer.weights.shape, np.float32) * np.sqrt(2 / layer.weights[0].size)
+        layer.bias[:] = gen.standard_normal(layer.bias.shape, np.float32) * 0.05
+    return net
+
+
+def inference_outputs(out: str):
+    gen = np.random.default_rng(SEED)
+    d7 = he_scaled(model.build_network(7, ops.RngState(SEED)), gen)
+    d13 = he_scaled(model.build_network(13, ops.RngState(SEED)), gen)
+    trim13, _ = trimming.cascade_trim(d13, None, None, trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=SEED))
+    width = 20
+    # model.forward's rows per band at batch 1 for the narrower net; batch 2 and d7 get more bands
+    rows = model.BAND_BUDGET // (max(trim13.filter_counts()) * width * 4)
+    inputs = {"square": gen.random((2, 1, 512, 512), np.float32),
+              "tall": gen.random((2, 1, 2 * rows + 40, width), np.float32)}
+    for net_name, net in (("d7", d7), ("trim13", trim13)):
+        for input_name, x in inputs.items():
+            for batch in (1, 2):
+                np.save(f"{out}/forward_{net_name}_{input_name}_b{batch}.npy", model.forward(net, x[:batch]))
+    x = gen.uniform(-1, 1, (2, 16, 200, 40))  # six of conv2d_forward's column bands
+    kernel, bias = gen.uniform(-1, 1, (8, 16, 5, 5)), gen.uniform(-1, 1, 8)
+    for pad in (0, 1):
+        y = ops.conv2d_forward(x, kernel, bias, pad)
+        np.save(f"{out}/conv64_forward_pad{pad}.npy", y)
+        grads = ops.conv2d_backward(x, kernel, gen.uniform(-1, 1, y.shape), pad)
+        for name, g in zip(("input", "kernel", "bias"), grads):
+            np.save(f"{out}/conv64_backward_pad{pad}_{name}.npy", g)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out_dir", help="new or empty directory for the artifacts")
@@ -76,8 +115,9 @@ def main():
     data.save_patches(patches, f"{out}/patches.ctpd")
     library_artifacts(out, patches)
     cli_artifacts(out, manifest)
+    inference_outputs(out)
 
-    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd")))
+    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd", ".npy")))
     lines = []
     for name in names:
         with open(os.path.join(out, name), "rb") as fh:

@@ -73,13 +73,12 @@ def _manifest(cfg: dict, args, command: str) -> data.DatasetManifest:
     return replace(manifest, scale=_scale(cfg, args, manifest.scale))
 
 
-def _train_config(cfg: dict, args) -> TrainConfig:
+def _train_config(cfg: dict, seed: int | None, depth: int | None = None) -> TrainConfig:
     section = dict(cfg.get("train", {}))
     section.pop("mode", None)
-    if args.depth:
-        section["target_depth"] = args.depth
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return TrainConfig(seed=seed, **section)
+    if depth:
+        section["target_depth"] = depth
+    return TrainConfig(seed=seed if seed is not None else cfg.get("seed", 0), **section)
 
 
 def cmd_prepare(cfg: dict, args) -> int:
@@ -102,7 +101,7 @@ def cmd_train(cfg: dict, args) -> int:
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
-    tc = _train_config(cfg, args)
+    tc = _train_config(cfg, args.seed, args.depth)
     model_out = args.out or _require(cfg, "model_out", "train")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
@@ -134,7 +133,7 @@ def cmd_trim(cfg: dict, args) -> int:
     if cfg.get("patches"):
         _check_exists(cfg["patches"], "patch cache")
         patches = data.load_patches(cfg["patches"])
-        train_cfg = _train_config(cfg, argparse.Namespace(depth=None, seed=args.seed))
+        train_cfg = _train_config(cfg, args.seed)
     model_out = args.out or _require(cfg, "model_out", "trim")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
@@ -200,6 +199,7 @@ def cmd_infer(cfg: dict, args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cascadesr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads
     for name, fn in (
         ("prepare", cmd_prepare),
         ("train", cmd_train),
@@ -210,14 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--model", help="model file (overrides model_in)")
-        p.add_argument("--out", help="output path (model/report/cache)")
-        p.add_argument("--mode", help="train/trim mode, or 'bicubic' for eval baseline")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--scale", type=int, default=None)
+        p.add_argument("--out", help="output path (cache/model/report directory/image)")
+        if name in ("train", "trim"):
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--mode", help=f"{name} mode")
+        if name in ("trim", "eval", "infer"):
+            p.add_argument("--model", help="model file (overrides model_in)")
+        if name == "train":
+            p.add_argument("--depth", type=int, default=None)
+        if name == "eval":
+            p.add_argument("--mode", choices=["bicubic"], help="score the bicubic baseline instead of a model")
         if name == "infer":
             p.add_argument("input", nargs="?", help="input PGM image")
+        else:
+            p.add_argument("--scale", type=int, default=None)
     return parser
 
 

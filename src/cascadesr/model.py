@@ -163,21 +163,28 @@ def param_count(net: NetworkModel) -> int:
     return sum(l.spec.weight_count() for l in net.layers)
 
 
+def _layer_sizes(net: NetworkModel, h: int, w: int) -> list[tuple[int, int]]:
+    """(height, width) of each layer's input, then of the output; raises
+    naming the first layer the input is too small for."""
+    sizes = [(h, w)]
+    for index, layer in enumerate(net.layers):
+        s = layer.spec
+        oh, ow = (conv2d_output_size(d, s.kernel_size, s.pad) for d in sizes[-1])
+        if oh < 1 or ow < 1:
+            raise InvalidNetworkError(
+                f"input too small: layer {index} (kernel {s.kernel_size}) gets {sizes[-1][0]}x{sizes[-1][1]}"
+            )
+        sizes.append((oh, ow))
+    return sizes
+
+
 def multiply_count(net: NetworkModel, in_h: int, in_w: int) -> int:
     """Analytic multiplications of one forward pass at the given input size.
 
     Per layer: in_channels * k^2 * out_filters * out_h * out_w.
     """
-    total = 0
-    h, w = in_h, in_w
-    for layer in net.layers:
-        s = layer.spec
-        h = conv2d_output_size(h, s.kernel_size, s.pad)
-        w = conv2d_output_size(w, s.kernel_size, s.pad)
-        if h < 1 or w < 1:
-            raise InvalidNetworkError(f"input {in_h}x{in_w} too small at a kernel-{s.kernel_size} layer")
-        total += s.in_channels * s.kernel_size**2 * s.out_filters * h * w
-    return total
+    sizes = _layer_sizes(net, in_h, in_w)
+    return sum(l.spec.weight_count() * h * w for l, (h, w) in zip(net.layers, sizes[1:]))
 
 
 def _family_specs(depth: int, first_filters: int, mid_filters: int) -> list[LayerSpec]:
@@ -252,27 +259,17 @@ def forward(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     check_tensor4(x, "input")
     if x.shape[1] != 1:
         raise InvalidNetworkError(f"network takes 1 input channel, got {x.shape[1]}")
-    heights, width = [x.shape[2]], x.shape[3]
-    for index, layer in enumerate(net.layers):
-        s = layer.spec
-        oh = conv2d_output_size(heights[-1], s.kernel_size, s.pad)
-        ow = conv2d_output_size(width, s.kernel_size, s.pad)
-        if oh < 1 or ow < 1:
-            raise InvalidNetworkError(
-                f"input too small: layer {index} (kernel {s.kernel_size}) gets {heights[-1]}x{width}"
-            )
-        heights.append(oh)
-        width = ow
+    heights, widths = zip(*_layer_sizes(net, x.shape[2], x.shape[3]))
     widest = max(l.spec.out_filters for l in net.layers)
     rows = max(1, BAND_BUDGET // (x.shape[0] * widest * x.shape[3] * x.itemsize))
-    out = np.empty((x.shape[0], 1, heights[-1], width), dtype=x.dtype)
+    out = np.empty((x.shape[0], 1, heights[-1], widths[-1]), dtype=x.dtype)
     for top in range(0, heights[-1], rows):
         bottom = min(top + rows, heights[-1])
         out[:, :, top:bottom] = _forward_band(net, x, heights, top, bottom)
     return out
 
 
-def _forward_band(net: NetworkModel, x: np.ndarray, heights: list[int], top: int, bottom: int) -> np.ndarray:
+def _forward_band(net: NetworkModel, x: np.ndarray, heights: tuple[int, ...], top: int, bottom: int) -> np.ndarray:
     """Output rows [top, bottom) of the network; heights[i] is layer i's input height."""
     # spans[i]: the rows of layer i's input (layer i-1's output) that the band needs
     spans = [(top, bottom)]

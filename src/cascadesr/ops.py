@@ -1,12 +1,14 @@
 """Dense-tensor kernels: convolution, activation, loss, SGD and random init.
 
-All tensors are float32 numpy arrays. Image-like data ("tensor4") is laid out
-(batch, channels, height, width); convolution kernels are laid out
-(out_filters, in_channels, kh, kw). Every operation here is deterministic
-for fixed inputs and a fixed BLAS thread count. Apart from sgd_step, which
-updates in place, each returns fresh arrays unless it is handed a Workspace
-(ws=) or an out= array to write into; training does so to reuse its arrays
-from batch to batch, with the same results bit for bit.
+Tensors are float32 numpy arrays, except that the reference pair
+conv2d_forward / conv2d_backward also takes float64. Image-like data
+("tensor4") is laid out (batch, channels, height, width); convolution
+kernels (out_filters, in_channels, kh, kw). Every operation here is
+deterministic for fixed inputs and a fixed BLAS thread count. The four conv
+entry points share one engine (pad, unfold, one matmul plus bias in the
+dtype each entry point fixes) whose arrays live in a Workspace (ws=):
+training passes its own to reuse them from batch to batch, and ws=None
+means a throwaway one.
 """
 
 from __future__ import annotations
@@ -60,26 +62,6 @@ def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     return x
 
 
-def _pad_cast(x: np.ndarray, pad: int, dtype) -> np.ndarray:
-    """Zero-pad and convert in one pass."""
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = x
-    return out
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, acc_dtype):
-    """Unfold sliding windows into (n, c*kh*kw, oh*ow) for one big matmul."""
-    xp = _pad_cast(x, pad, acc_dtype)
-    n, c, hp, wp = xp.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, oh, ow), (s[0], s[1], s[2], s[3], s[2], s[3])
-    )
-    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, oh * ow), oh, ow
-
-
 def conv2d_output_size(in_size: int, kernel: int, pad: int) -> int:
     return in_size + 2 * pad - kernel + 1
 
@@ -107,7 +89,7 @@ def _check_conv_args(x, kernel, bias, pad):
 
 
 class Workspace:
-    """Arrays that the training entry points reuse from call to call.
+    """Arrays that conv calls handed the same workspace reuse from call to call.
 
     Each array is kept under a key, zero-filled when first made, and made
     again only when a call needs more elements or another dtype; a call
@@ -128,30 +110,37 @@ class Workspace:
         return a[:size].reshape(shape)
 
 
-def _take(ws: Workspace | None, key, shape: tuple, dtype) -> np.ndarray:
-    """Workspace array, or a fresh zero array without a workspace."""
-    return np.zeros(shape, dtype) if ws is None else ws.array(key, shape, dtype)
+def _pad(x: np.ndarray, pad: int, ws: Workspace) -> np.ndarray:
+    """x zero-padded by pad on both spatial sides, in a workspace array."""
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    xp = ws.array(("padded", c, h + 2 * pad, w + 2 * pad, pad), (n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc, ws: Workspace | None, role: str):
-    """Cross-correlation plus bias accumulated in dtype acc; also returns the
-    unfolded input columns. With a workspace the padded input, the columns
-    and the product live in its arrays under role."""
-    co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
-    n, _, h, w = x.shape
-    if pad:
-        xp = _take(ws, ("padded", ci, h + 2 * pad, w + 2 * pad, pad), (n, ci, h + 2 * pad, w + 2 * pad), acc)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        xp = x.astype(acc, copy=False)
+def _unfold(x: np.ndarray, kh: int, kw: int, pad: int, acc, ws: Workspace, role: str) -> np.ndarray:
+    """Sliding windows of the padded input as (n, c*kh*kw, oh*ow) columns of dtype acc."""
+    xp = _pad(x, pad, ws)
+    n, c, hp, wp = xp.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
     s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(xp, (n, ci, kh, kw, oh, ow), (s[0], s[1], s[2], s[3], s[2], s[3]))
-    cols = _take(ws, role + "_cols", (n, ci * kh * kw, oh * ow), acc)
+    windows = np.lib.stride_tricks.as_strided(xp, (n, c, kh, kw, oh, ow), (s[0], s[1], s[2], s[3], s[2], s[3]))
+    cols = ws.array(role + "_cols", (n, c * kh * kw, oh * ow), acc)
     np.copyto(cols.reshape(windows.shape), windows)
-    out = _take(ws, role + "_out", (n, co, oh * ow), acc)
+    return cols
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc, ws: Workspace, role: str):
+    """Cross-correlation plus bias accumulated in dtype acc, and the unfolded
+    input columns, both in the workspace's arrays under role."""
+    co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
+    cols = _unfold(x, kh, kw, pad, acc, ws, role)
+    out = ws.array(role + "_out", (x.shape[0], co, oh * ow), acc)
     np.matmul(kernel.reshape(co, -1).astype(acc, copy=False), cols, out=out)
     out += bias.astype(acc, copy=False)[:, None]
-    return out.reshape(n, co, oh, ow).astype(x.dtype, copy=False), cols
+    return out.reshape(x.shape[0], co, oh, ow), cols
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
@@ -159,23 +148,20 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int
     accumulated in float64.
 
     The input is unfolded and multiplied one band of output rows at a time,
-    each band's float64 columns kept under COLS_BUDGET bytes, and every band
-    is written into one preallocated output. Each output value is the same
-    sum, in the same order, as with one unfold of the whole input.
+    each band's float64 columns kept under COLS_BUDGET bytes in one buffer
+    that every band reuses, and every band is written into one preallocated
+    output. Each output value is the same sum, in the same order, as with
+    one unfold of the whole input.
     """
     co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
-    n = x.shape[0]
-    xp = _pad_cast(x, pad, x.dtype) if pad else x
-    weights = kernel.reshape(co, -1).astype(np.float64, copy=False)
-    bias64 = bias.astype(np.float64)[:, None]
-    out = np.empty((n, co, oh, ow), dtype=x.dtype)
-    rows = max(1, COLS_BUDGET // (n * ci * kh * kw * ow * 8))
+    ws = Workspace()
+    xp = _pad(x, pad, ws)
+    kernel64, bias64 = kernel.astype(np.float64), bias.astype(np.float64)
+    out = np.empty((x.shape[0], co, oh, ow), dtype=x.dtype)
+    rows = max(1, COLS_BUDGET // (x.shape[0] * ci * kh * kw * ow * 8))
     for top in range(0, oh, rows):
         bottom = min(top + rows, oh)
-        cols, _, _ = _im2col(xp[:, :, top : bottom + kh - 1], kh, kw, 0, np.float64)
-        band = np.matmul(weights, cols)
-        band += bias64
-        out[:, :, top:bottom] = band.reshape(n, co, bottom - top, ow)
+        out[:, :, top:bottom] = _conv(xp[:, :, top : bottom + kh - 1], kernel64, bias64, 0, np.float64, ws, "band")[0]
     return out
 
 
@@ -184,48 +170,44 @@ def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad
     plus the unfolded input columns.
 
     The columns are what the backward pass needs for the kernel gradient, so
-    the training loop keeps them instead of re-unfolding. With a workspace
-    both returned arrays live in it and are overwritten by its next use; a
+    the training loop keeps them instead of re-unfolding. Both returned
+    arrays live in the workspace and are overwritten by its next use; a
     caller that keeps them across calls gives each layer its own workspace.
     """
-    return _conv(x, kernel, bias, pad, x.dtype, ws, "forward")
+    return _conv(x, kernel, bias, pad, x.dtype, ws or Workspace(), "forward")
 
 
 def conv2d_backward_from_cols(
-    x_shape: tuple,
-    kernel: np.ndarray,
-    grad_output: np.ndarray,
-    pad: int,
-    cols: np.ndarray,
-    need_grad_input: bool = True,
-    *,
-    ws: Workspace | None = None,
+    x_shape: tuple, kernel: np.ndarray, grad_output: np.ndarray, pad: int, cols: np.ndarray,
+    need_grad_input: bool = True, *, ws: Workspace | None = None,
 ):
     """Backward pass given the forward pass's unfolded columns, accumulated
     in the columns' dtype.
 
-    With a workspace the input and kernel gradients live in it and are
+    The input and kernel gradients live in the workspace and are
     overwritten by its next use; one workspace can serve every layer in
     turn. grad_output may be the input gradient an earlier call returned
     from the same workspace: it is read in full before that array is
     rewritten.
     """
+    ws = ws or Workspace()
     co, ci, kh, kw = kernel.shape
     n, _, oh, ow = grad_output.shape
     go3 = grad_output.reshape(n, co, oh * ow).astype(cols.dtype, copy=False)
-    per_sample = _take(ws, "grad_kernel_stack", (n, co, ci * kh * kw), cols.dtype)
+    per_sample = ws.array("grad_kernel_stack", (n, co, ci * kh * kw), cols.dtype)
     np.matmul(go3, cols.transpose(0, 2, 1), out=per_sample)
-    summed = per_sample.sum(axis=0, out=_take(ws, "grad_kernel", (co, ci * kh * kw), cols.dtype))
+    summed = per_sample.sum(axis=0, out=ws.array("grad_kernel", (co, ci * kh * kw), cols.dtype))
     grad_kernel = summed.reshape(kernel.shape).astype(kernel.dtype, copy=False)
     grad_bias = grad_output.sum(axis=(0, 2, 3), dtype=cols.dtype).astype(kernel.dtype)
     grad_input = None
     if need_grad_input:
         # grad wrt input = cross-correlation of grad_output with the kernel
         # flipped spatially and transposed in/out, padded to undo the forward pad
-        flipped = _take(ws, "flipped", (ci, co, kh, kw), kernel.dtype)
+        flipped = ws.array("flipped", (ci, co, kh, kw), kernel.dtype)
         np.copyto(flipped, kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         zero_bias = np.zeros(ci, dtype=kernel.dtype)
-        grad_input, _ = _conv(grad_output, flipped, zero_bias, kh - 1 - pad, cols.dtype, ws, "grad_input")
+        grad_input = _conv(grad_output, flipped, zero_bias, kh - 1 - pad, cols.dtype, ws, "grad_input")[0]
+        grad_input = grad_input.astype(grad_output.dtype, copy=False)
     return grad_input, grad_kernel, grad_bias
 
 
@@ -238,7 +220,7 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, grad_output: np.ndarray, 
     co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, np.zeros(kernel.shape[0], dtype=FLOAT), pad)
     if grad_output.shape != (x.shape[0], co, oh, ow):
         raise ShapeMismatchError("grad_output dims", (x.shape[0], co, oh, ow), grad_output.shape)
-    cols, _, _ = _im2col(x, kh, kw, pad, np.float64)
+    cols = _unfold(x, kh, kw, pad, np.float64, Workspace(), "forward")
     return conv2d_backward_from_cols(x.shape, kernel, grad_output, pad, cols)
 
 

@@ -195,6 +195,22 @@ class TestTrim:
         assert [l.weights.tobytes() for l in out.layers] == [l.weights.tobytes() for l in parent.layers]
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["prepare", "--depth", "5"], "unrecognized arguments: --depth 5"),
+            (["eval", "--mode", "foo"], "invalid choice"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_rejected(self, workspace, capsys, argv, message):
+        tmp, config, config_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(config_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEvalInfer:
     def test_bicubic_eval_writes_reports(self, workspace, capsys):
         tmp, config, config_path = workspace

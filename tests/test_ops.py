@@ -167,6 +167,19 @@ class TestConvEntryPoints:
             np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-5)
         assert ops.conv2d_backward_from_cols(x.shape, k, go, pad, cols, need_grad_input=False)[0] is None
 
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_float64_reference_pair_equals_training_pair_bit_for_bit(self, rng, pad):
+        x = rand_tensor(rng, 2, 3, 7, 7).astype(np.float64)
+        k = rand_tensor(rng, 4, 3, 3, 3).astype(np.float64)
+        b = rand_tensor(rng, 4).astype(np.float64)
+        out, cols = ops.conv2d_forward_cols(x, k, b, pad)
+        np.testing.assert_array_equal(ops.conv2d_forward(x, k, b, pad), out)
+        go = rand_tensor(rng, *out.shape).astype(np.float64)
+        got = ops.conv2d_backward(x, k, go, pad)
+        for g, want in zip(got, ops.conv2d_backward_from_cols(x.shape, k, go, pad, cols)):
+            assert g.dtype == np.float64
+            np.testing.assert_array_equal(g, want)
+
 
 class TestRelu:
     def test_examples(self):
