@@ -1,8 +1,8 @@
 """Config-driven command line: prepare / train / trim / eval / infer.
 
 A JSON config file carries the run parameters; a handful of flags override
-the common ones. Unknown config keys are rejected and every referenced path
-is checked before any work starts.
+the common ones. Unknown config keys and wrongly typed values are rejected
+and every referenced path is checked before any work starts.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from . import data, evaluate, trimming
 from .model import load_model, param_count, save_model
 from .training import TrainConfig, cascade_train, one_shot_train
 
-TOP_KEYS = {"seed", "scale", "manifest", "patches", "model_in", "model_out", "log_dir", "train", "trim"}
-TRAIN_KEYS = {
-    "mode",
-    "learning_rate",
-    "plateau_threshold",
-    "target_depth",
-    "batch_size",
-    "max_epochs_per_stage",
-}
-TRIM_KEYS = {"mode", "rate", "rates", "seed"}
+# every config key with its JSON type
+TOP_KEYS = {"seed": int, "scale": int, "manifest": str, "patches": str, "model_in": str, "model_out": str,
+            "log_dir": str, "train": dict, "trim": dict}
+TRAIN_KEYS = {"mode": str, "learning_rate": float, "plateau_threshold": float, "target_depth": int,
+              "batch_size": int, "max_epochs_per_stage": int}
+TRIM_KEYS = {"mode": str, "rate": float, "rates": list, "seed": int}
 TRAINERS = {"cascade": cascade_train, "one_shot": one_shot_train}
 
 
@@ -34,18 +30,32 @@ class ConfigError(ValueError):
     pass
 
 
+def _of_type(value, kind: type) -> bool:
+    """An int counts as a float, a bool as neither; trim.rates, the one list key, holds numbers."""
+    if kind is list:
+        return isinstance(value, list) and all(_of_type(v, float) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_keys(where: str, section, allowed: dict) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in section.items():
+        if not _of_type(value, allowed[key]):
+            raise ConfigError(f"{where} key {key!r} must be {allowed[key].__name__}, got {value!r}")
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         raw = json.load(fh)
-    unknown = set(raw) - TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys("config", raw, TOP_KEYS)
     for section, allowed in (("train", TRAIN_KEYS), ("trim", TRIM_KEYS)):
-        extra = set(raw.get(section, {})) - allowed
-        if extra:
-            raise ConfigError(f"unknown {section} config keys: {sorted(extra)}")
+        _check_keys(f"{section} config", raw.get(section, {}), allowed)
     return raw
 
 
@@ -137,17 +147,16 @@ def cmd_trim(cfg: dict, args) -> int:
     model_out = args.out or _require(cfg, "model_out", "trim")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
-    log_dir = cfg.get("log_dir")
     if mode == "trim_train":
         if patches is None or train_cfg is None:
             raise ConfigError("trim_train needs a patch cache and a train section")
         scale = _scale(cfg, args, 2)
-        net, _ = trimming.trim_train(patches, train_cfg, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
+        net, _ = trimming.trim_train(patches, train_cfg, log_dir=cfg.get("log_dir"), checkpoint_stem=stem, scale=scale)
     else:
         parent = load_model(model_in)
         plan = _trim_plan(cfg, args, mode, parent.depth)
         trim = trimming.cascade_trim if mode == "cascade" else trimming.one_shot_trim
-        net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, log_dir=log_dir, checkpoint_stem=stem)
+        net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, checkpoint_stem=stem)
     save_model(net, model_out)
     print(f"trimmed to {param_count(net)} parameters -> {model_out}")
     return 0
@@ -165,7 +174,6 @@ def cmd_eval(cfg: dict, args) -> int:
     out_dir = args.out or cfg.get("log_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
     report = evaluate.benchmark(net, manifest)
-    report.write_csv(os.path.join(out_dir, f"eval_{report.net_id}.csv"))
     report.write_json(os.path.join(out_dir, f"eval_{report.net_id}.json"))
     if not report.rows:
         print("warning: empty test set", file=sys.stderr)

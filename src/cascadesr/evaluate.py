@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -94,6 +93,10 @@ class EvalRow:
     error: str = ""
 
 
+def _number(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class EvalReport:
     net_id: str
@@ -115,34 +118,29 @@ class EvalReport:
         vals = [r.seconds for r in self.rows if not r.error]
         return float(np.mean(vals)) if vals else float("nan")
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["image", "psnr_db", "ssim", "seconds"])
-            for r in self.rows:
-                writer.writerow([r.image, r.psnr_db, r.ssim, f"{r.seconds:.6f}"])
-
     def write_json(self, path: str) -> None:
+        """Strict JSON: a value with no JSON number (a failed image's scores,
+        the means of no scored image, an infinite PSNR) is written as null."""
         doc = {
             "net": self.net_id,
             "scale": self.scale,
             "images": [
                 {
                     "image": r.image,
-                    "psnr_db": None if math.isinf(r.psnr_db) else r.psnr_db,
+                    "psnr_db": _number(r.psnr_db),
                     "psnr_infinite": math.isinf(r.psnr_db),
-                    "ssim": r.ssim,
+                    "ssim": _number(r.ssim),
                     "seconds": r.seconds,
                     "error": r.error,
                 }
                 for r in self.rows
             ],
-            "mean_psnr_db": self.mean_psnr,
-            "mean_ssim": self.mean_ssim,
-            "mean_seconds": self.mean_seconds,
+            "mean_psnr_db": _number(self.mean_psnr),
+            "mean_ssim": _number(self.mean_ssim),
+            "mean_seconds": _number(self.mean_seconds),
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 

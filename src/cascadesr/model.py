@@ -6,16 +6,17 @@ pixel per side so every depth maps an input of size S to S - 16, which keeps
 training patches shareable across growth stages.
 
 Model files are little-endian binary with magic "CTSR" (format below); a
-JSON sidecar with the same stem duplicates the layer specs and stage history
-for inspection. The binary file is authoritative. A save replaces both
-files only once both are written in full.
+JSON sidecar with the same stem duplicates the layer specs and holds the
+stage history (training, then trimming stages) for inspection. The binary
+file is authoritative. A save replaces both files only once both are
+written in full.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,24 +103,10 @@ class StageLog:
     def epochs(self) -> int:
         return len(self.losses)
 
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "losses": self.losses,
-            "terminated_by": self.terminated_by,
-            "removed_filters": {str(k): v for k, v in self.removed_filters.items()},
-            "param_count_after": self.param_count_after,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> StageLog:
-        return cls(
-            d["depth"],
-            list(d["losses"]),
-            d["terminated_by"],
-            {int(k): list(v) for k, v in d["removed_filters"].items()},
-            d["param_count_after"],
-        )
+        """Inverse of dataclasses.asdict through JSON, which turns the layer keys into strings."""
+        return cls(**{**d, "removed_filters": {int(k): v for k, v in d["removed_filters"].items()}})
 
 
 @dataclass
@@ -329,7 +316,7 @@ def save_model(net: NetworkModel, path: str) -> None:
             }
             for l in net.layers
         ],
-        "stage_history": [log.to_dict() for log in net.stage_history],
+        "stage_history": [asdict(log) for log in net.stage_history],
     }
     # both files are replaced only once both are written in full
     with atomic_write(path) as fh, atomic_write(_sidecar_path(path), "w") as side:
@@ -378,7 +365,7 @@ def load_model(path: str) -> NetworkModel:
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
         net.stage_history = [StageLog.from_dict(r) for r in meta.get("stage_history", [])]
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, TypeError):
         pass  # sidecar is informational; the binary is authoritative
     return net
 

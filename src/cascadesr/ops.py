@@ -29,9 +29,6 @@ class ShapeMismatchError(ValueError):
 
     def __init__(self, what: str, expected, got):
         super().__init__(f"{what}: expected {expected}, got {got}")
-        self.what = what
-        self.expected = expected
-        self.got = got
 
 
 @dataclass(frozen=True)
@@ -222,10 +219,6 @@ def conv2d_backward(x: np.ndarray, kernel: np.ndarray, grad_output: np.ndarray, 
         raise ShapeMismatchError("grad_output dims", (x.shape[0], co, oh, ow), grad_output.shape)
     cols = _unfold(x, kh, kw, pad, np.float64, Workspace(), "forward")
     return conv2d_backward_from_cols(x.shape, kernel, grad_output, pad, cols)
-
-
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
 
 
 def relu_backward(x: np.ndarray, grad_output: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:

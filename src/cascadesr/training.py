@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ops
 from .data import PatchSet
-from .model import NetworkModel, StageLog, build_network, insert_layers, param_count, save_model
+from .model import ACT_RELU, NetworkModel, StageLog, build_network, insert_layers, param_count, save_model
 
 
 @dataclass
@@ -77,7 +77,7 @@ def _forward_tape(net: NetworkModel, x: np.ndarray, layer_ws):
     for layer, ws in zip(net.layers, layer_ws):
         pre, cols = ops.conv2d_forward_cols(h, layer.weights, layer.bias, layer.spec.pad, ws=ws)
         post = pre
-        if layer.spec.activation == "rectifier":
+        if layer.spec.activation == ACT_RELU:
             post = np.maximum(pre, 0, out=ws.array("post", pre.shape, pre.dtype))
         tape.append((h.shape, cols, pre))
         h = post
@@ -94,7 +94,7 @@ def _train_batch(net: NetworkModel, x: np.ndarray, y: np.ndarray, lr: float, ws)
     for index in reversed(range(len(net.layers))):
         layer = net.layers[index]
         x_shape, cols, pre = tape[index]
-        if layer.spec.activation == "rectifier":
+        if layer.spec.activation == ACT_RELU:
             grad = ops.relu_backward(pre, grad, out=grad)
         grad, grad_w, grad_b = ops.conv2d_backward_from_cols(
             x_shape, layer.weights, grad, layer.spec.pad, cols, need_grad_input=index > 0, ws=backward_ws

@@ -11,9 +11,7 @@ the deepest trimmable pair (the single-filter output layer is never trimmed).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +102,14 @@ def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> Network
     return out.validate()
 
 
-def _trim_stages(net, plan, stages, choose, patches, cfg, log_dir, checkpoint_stem):
+def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
     """Stage loop shared by one-shot and cascade trimming.
 
     Stage n (from 1) removes floor(rate_i * n_i) filters, picked by
     choose(current, stage, i, count), from each layer i of stages[n - 1], then
     fine-tunes the whole network to plateau when patches and cfg are given,
-    and writes trim_stage_{n}.json and the -trimS{n} checkpoint.
+    appends the stage's log to the network's stage_history after the
+    training stages, and writes the -trimS{n} checkpoint.
     """
     if len(plan.rates) != net.depth:
         raise ValueError(f"plan has {len(plan.rates)} rates for depth {net.depth}")
@@ -132,11 +131,7 @@ def _trim_stages(net, plan, stages, choose, patches, cfg, log_dir, checkpoint_st
         log.removed_filters = removed
         log.param_count_after = param_count(current)
         logs.append(log)
-        if log_dir is not None:
-            os.makedirs(log_dir, exist_ok=True)
-            with open(os.path.join(log_dir, f"trim_stage_{stage + 1}.json"), "w") as fh:
-                json.dump(log.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        current.stage_history.append(log)
         if checkpoint_stem is not None:
             save_model(current, f"{checkpoint_stem}-trimS{stage + 1}.ctsr")
     return current, logs
@@ -147,7 +142,6 @@ def one_shot_trim(
     plan: TrimPlan,
     patches: PatchSet | None = None,
     cfg: TrainConfig | None = None,
-    log_dir: str | None = None,
     checkpoint_stem: str | None = None,
 ):
     """Trim every layer at once by importance score, then fine-tune.
@@ -166,7 +160,7 @@ def one_shot_trim(
         return sorted(np.argsort(scores, kind="stable")[:count].tolist())
 
     stages = [range(net.depth - 1)]
-    current, logs = _trim_stages(net, plan, stages, lowest_importance, patches, cfg, log_dir, checkpoint_stem)
+    current, logs = _trim_stages(net, plan, stages, lowest_importance, patches, cfg, checkpoint_stem)
     return current, logs[0]
 
 
@@ -185,7 +179,6 @@ def cascade_trim(
     patches: PatchSet | None,
     cfg: TrainConfig | None,
     plan: TrimPlan,
-    log_dir: str | None = None,
     checkpoint_stem: str | None = None,
 ):
     """Stagewise trimming: random half of two adjacent layers per stage,
@@ -199,7 +192,7 @@ def cascade_trim(
         return sorted(rng.child(3, stage, i).choice(n, size=count, replace=False).tolist())
 
     stages = cascade_trim_pairs(net.depth)
-    return _trim_stages(net, plan, stages, seeded_random, patches, cfg, log_dir, checkpoint_stem)
+    return _trim_stages(net, plan, stages, seeded_random, patches, cfg, checkpoint_stem)
 
 
 def trim_train(

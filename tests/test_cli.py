@@ -125,6 +125,29 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config_path)]) == 1
         assert "unknown train config keys: ['insert_count']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda c: c.update(seed="x"), "'seed'"),
+            (lambda c: c["train"].update(learning_rate="0.1"), "'learning_rate'"),
+            (lambda c: c.update(trim={"rate": "half"}), "'rate'"),
+            (lambda c: c.update(scale="3"), "'scale'"),
+            (lambda c: c.update(train="oops"), "'train'"),
+        ],
+        ids=["seed", "learning_rate", "trim_rate", "scale", "train_section"],
+    )
+    def test_wrongly_typed_value_rejected_before_work(self, workspace, capsys, edit, key):
+        tmp, config, config_path = workspace
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        edit(config)
+        rewrite(config_path, config)
+        command = "trim" if "trim" in config else "train"
+        assert cli.main([command, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp / "out").exists()
+
     def test_bad_config_invariant_rejected(self, workspace, capsys):
         tmp, config, config_path = workspace
         config["train"]["target_depth"] = 4
@@ -158,8 +181,24 @@ class TestTrim:
         tmp, config, config_path = trained
         assert cli.main(["trim", "--config", str(config_path)]) == 0
         for stage in (1, 2, 3):
-            assert (tmp / "out" / f"trimmed-trimS{stage}.ctsr").exists()
-            assert (tmp / "logs" / f"trim_stage_{stage}.json").exists()
+            sidecar = json.loads((tmp / "out" / f"trimmed-trimS{stage}.json").read_text())
+            assert len(sidecar["stage_history"]) == 3 + stage  # the training stages, then trim stages 1..n
+            checkpoint = model.load_model(str(tmp / "out" / f"trimmed-trimS{stage}.ctsr"))
+            assert sidecar["stage_history"][-1]["param_count_after"] == model.param_count(checkpoint)
+        assert not list((tmp / "logs").glob("trim_stage_*"))
+
+    def test_slim_sidecar_lists_training_then_trim_stages(self, trained):
+        tmp, config, config_path = trained
+        assert cli.main(["trim", "--config", str(config_path)]) == 0
+        history = json.loads((tmp / "out" / "trimmed.json").read_text())["stage_history"]
+        assert [(s["depth"], s["removed_filters"]) for s in history[:3]] == [(3, {}), (5, {}), (7, {})]
+        trims = history[3:]
+        assert [sorted(s["removed_filters"]) for s in trims] == [["4", "5"], ["2", "3"], ["0", "1"]]
+        for s in trims:
+            assert s["depth"] == 7 and all(s["removed_filters"].values())
+        slim = model.load_model(config["model_out"])
+        assert history[-1]["param_count_after"] == model.param_count(slim)
+        assert slim.stage_history == model.load_model(str(tmp / "out" / "trimmed-trimS3.ctsr")).stage_history
 
     def test_missing_model_fails(self, trained, capsys):
         tmp, config, config_path = trained
@@ -215,8 +254,10 @@ class TestEvalInfer:
     def test_bicubic_eval_writes_reports(self, workspace, capsys):
         tmp, config, config_path = workspace
         assert cli.main(["eval", "--config", str(config_path), "--mode", "bicubic"]) == 0
-        assert (tmp / "logs" / "eval_bicubic.csv").exists()
-        assert (tmp / "logs" / "eval_bicubic.json").exists()
+        assert [p.name for p in (tmp / "logs").iterdir()] == ["eval_bicubic.json"]
+        report = json.loads((tmp / "logs" / "eval_bicubic.json").read_text())
+        assert report["net"] == "bicubic" and len(report["images"]) == 1
+        assert report["images"][0]["error"] == "" and report["mean_psnr_db"] > 0
         assert "mean PSNR" in capsys.readouterr().out
 
     def test_infer_33_to_17(self, workspace, capsys):
@@ -239,4 +280,6 @@ class TestEvalInfer:
         cli.main(["prepare", "--config", str(config_path)])
         cli.main(["train", "--config", str(config_path), "--depth", "3"])
         assert cli.main(["eval", "--config", str(config_path), "--model", config["model_out"]]) == 0
-        assert (tmp / "logs" / "eval_net-d3.csv").exists()
+        assert not list((tmp / "logs").glob("eval_*.csv"))
+        report = json.loads((tmp / "logs" / "eval_net-d3.json").read_text())
+        assert report["net"] == "net-d3" and [r["error"] for r in report["images"]] == [""]

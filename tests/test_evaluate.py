@@ -118,15 +118,31 @@ class TestBenchmark:
 
     def test_reports_written(self, corpus, tmp_path):
         report = evaluate.benchmark(None, corpus)
-        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
-        report.write_csv(str(csv_path))
+        json_path = tmp_path / "r.json"
         report.write_json(str(json_path))
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "image,psnr_db,ssim,seconds"
-        assert len(lines) == 4
         doc = json.loads(json_path.read_text())
         assert doc["mean_psnr_db"] == pytest.approx(report.mean_psnr)
-        assert len(doc["images"]) == 3
+        assert [r["image"] for r in doc["images"]] == [r.image for r in report.rows]
+        for row, r in zip(doc["images"], report.rows):
+            assert (row["psnr_db"], row["ssim"], row["seconds"], row["error"]) == (r.psnr_db, r.ssim, r.seconds, "")
+            assert row["psnr_infinite"] is False
+
+    @pytest.mark.parametrize("images", [["missing.pgm"], []], ids=["missing-image", "empty-test-set"])
+    def test_report_is_strict_json(self, tmp_path, images):
+        manifest = data.DatasetManifest(
+            images=[data.ManifestEntry(str(tmp_path / name), "test") for name in images], scale=2
+        )
+        path = tmp_path / "r.json"
+        evaluate.benchmark(None, manifest).write_json(str(path))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert (doc["mean_psnr_db"], doc["mean_ssim"], doc["mean_seconds"]) == (None, None, None)
+        assert len(doc["images"]) == len(images)
+        for row in doc["images"]:
+            assert row["error"] and row["psnr_db"] is None and row["ssim"] is None
 
     def test_infinite_psnr_flagged_in_json(self, tmp_path):
         report = evaluate.EvalReport(net_id="x", scale=2)

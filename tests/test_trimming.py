@@ -238,6 +238,25 @@ class TestCascadeTrim:
         assert len(trimming.cascade_trim_pairs(depth)) == (depth - 1) // 2
 
 
+class TestStageHistory:
+    @pytest.mark.parametrize("mode", [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_GREEDY])
+    def test_trim_stages_follow_training_stages(self, mode):
+        net = model.build_network(7, ops.RngState(8))
+        trained = model.StageLog(7, [0.01], "plateau", {}, model.param_count(net))
+        net.stage_history.append(trained)
+        plan = trimming.default_plan(7, mode, seed=3)
+        if mode == trimming.MODE_CASCADE_TRIM:
+            out, logs = trimming.cascade_trim(net, None, None, plan)
+        else:
+            cfg = training.TrainConfig(learning_rate=0.0, target_depth=7, batch_size=8, max_epochs_per_stage=1)
+            out, log = trimming.one_shot_trim(net, plan, tiny_patches(), cfg)
+            logs = [log]
+            assert log.epochs == 1
+        assert out.stage_history == [trained] + logs
+        assert out.stage_history[-1].param_count_after == model.param_count(out)
+        assert net.stage_history == [trained]
+
+
 class TestTrimTrain:
     def test_slim_base_param_count(self):
         slim = model.build_network(3, ops.RngState(0), first_filters=32, mid_filters=16)
