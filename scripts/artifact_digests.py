@@ -13,8 +13,11 @@ one-shot), trim (cascade, greedy one-shot, trim_train). Beside them it writes
 16 inference outputs as .npy: model.forward of a He-scaled d7 and a
 cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input and on a
 tall narrow one that spans at least three of forward's row bands, and the
-float64 conv2d_forward and conv2d_backward results at pad 0 and pad 1. It
-prints "sha256  name" per file, then the sha256 of that sorted list.
+float64 conv2d_forward and conv2d_backward results at pad 0 and pad 1, and
+2 eval outputs as .npy: the (PSNR, SSIM) of each test image from
+evaluate.benchmark of the CLI-trained cascade model and of the bicubic
+baseline. It prints "sha256  name" per file, then the sha256 of that sorted
+list.
 
 Run it at two commits to show that a change keeps every artifact
 byte-identical. The digests depend on the numpy/BLAS build and the BLAS
@@ -30,7 +33,7 @@ import os
 
 import numpy as np
 
-from cascadesr import cli, data, model, ops, synth, training, trimming
+from cascadesr import cli, data, evaluate, model, ops, synth, training, trimming
 
 SEED = 5
 CORPUS = dict(n_train=3, n_test=1, image_size=96, seed=11, scale=3, patch=data.PatchParams(21, 12, 5))
@@ -69,6 +72,13 @@ def cli_artifacts(out: str, manifest: str):
             code = cli.main(argv + ["--config", config])
         if code != 0:
             raise SystemExit(f"cascadesr {' '.join(argv)} exited {code}")
+
+
+def eval_outputs(out: str, manifest: str):
+    test_set = data.DatasetManifest.from_json(manifest)
+    for name, net in (("cli_train", model.load_model(f"{out}/cli_train.ctsr")), ("bicubic", None)):
+        report = evaluate.benchmark(net, test_set)
+        np.save(f"{out}/eval_{name}.npy", np.array([(r.psnr_db, r.ssim) for r in report.rows]))
 
 
 def he_scaled(net: model.NetworkModel, gen: np.random.Generator) -> model.NetworkModel:
@@ -115,6 +125,7 @@ def main():
     data.save_patches(patches, f"{out}/patches.ctpd")
     library_artifacts(out, patches)
     cli_artifacts(out, manifest)
+    eval_outputs(out, manifest)
     inference_outputs(out)
 
     names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd", ".npy")))

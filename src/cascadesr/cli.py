@@ -56,6 +56,7 @@ def load_config(path: str | None) -> dict:
     _check_keys("config", raw, TOP_KEYS)
     for section, allowed in (("train", TRAIN_KEYS), ("trim", TRIM_KEYS)):
         _check_keys(f"{section} config", raw.get(section, {}), allowed)
+    data.check_scale(raw.get("scale", 2))
     return raw
 
 
@@ -72,8 +73,8 @@ def _check_exists(path: str, what: str):
 
 
 def _scale(cfg: dict, args, default: int) -> int:
-    """--scale, else the config's scale, else the command's default."""
-    return args.scale or cfg.get("scale", default)
+    """--scale, else the config's scale, else the command's default; 2, 3 or 4."""
+    return data.check_scale(args.scale if args.scale is not None else cfg.get("scale", default))
 
 
 def _manifest(cfg: dict, args, command: str) -> data.DatasetManifest:
@@ -108,6 +109,7 @@ def cmd_train(cfg: dict, args) -> int:
     mode = args.mode or cfg.get("train", {}).get("mode", "cascade")
     if mode not in TRAINERS:
         raise ConfigError(f"train mode must be one of {sorted(TRAINERS)}, got {mode!r}")
+    scale = _scale(cfg, args, 2)
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
@@ -116,7 +118,6 @@ def cmd_train(cfg: dict, args) -> int:
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     log_dir = cfg.get("log_dir")
-    scale = _scale(cfg, args, 2)
     net, _ = TRAINERS[mode](patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
     save_model(net, model_out)
     print(f"trained depth {net.depth}, {param_count(net)} parameters -> {model_out}")
@@ -135,6 +136,7 @@ def _trim_plan(cfg: dict, args, mode: str, depth: int) -> trimming.TrimPlan:
 
 def cmd_trim(cfg: dict, args) -> int:
     mode = args.mode or cfg.get("trim", {}).get("mode", "cascade")
+    scale = _scale(cfg, args, 2)  # only trim_train reads it; the other modes keep the model's
     if mode != "trim_train":  # trim_train trains from scratch and reads no model
         model_in = args.model or _require(cfg, "model_in", "trim")
         _check_exists(model_in, "model")
@@ -150,7 +152,6 @@ def cmd_trim(cfg: dict, args) -> int:
     if mode == "trim_train":
         if patches is None or train_cfg is None:
             raise ConfigError("trim_train needs a patch cache and a train section")
-        scale = _scale(cfg, args, 2)
         net, _ = trimming.trim_train(patches, train_cfg, log_dir=cfg.get("log_dir"), checkpoint_stem=stem, scale=scale)
     else:
         parent = load_model(model_in)

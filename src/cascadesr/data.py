@@ -122,13 +122,15 @@ def resize_weights(n_in: int, n_out: int) -> np.ndarray:
     centers = (np.arange(n_out) + 0.5) / scale - 0.5
     width = min(scale, 1.0)  # kernel scale: <1 widens support when shrinking
     support = 2.0 / width
+    lo = np.floor(centers - support).astype(int) + 1
+    n_taps = np.floor(centers + support).astype(int) - lo + 1
+    # (row, tap) pairs in row-then-tap order, so clamped border taps sum in that order
+    rows, k = np.nonzero(np.arange(n_taps.max()) < n_taps[:, None])
+    taps = lo[rows] + k
+    w = _cubic_kernel((centers[rows] - taps) * width) * width
     mat = np.zeros((n_out, n_in))
-    for i, u in enumerate(centers):
-        lo = int(np.floor(u - support)) + 1
-        taps = np.arange(lo, int(np.floor(u + support)) + 1)
-        w = _cubic_kernel((u - taps) * width) * width
-        np.add.at(mat[i], np.clip(taps, 0, n_in - 1), w)
-        mat[i] /= mat[i].sum()
+    np.add.at(mat, (rows, np.clip(taps, 0, n_in - 1)), w)
+    mat /= mat.sum(axis=1, keepdims=True)
     return mat
 
 
@@ -187,6 +189,12 @@ class ManifestEntry:
             raise ManifestError(f"role must be train or test, got {self.role!r}")
 
 
+def check_scale(scale: int) -> int:
+    if scale not in (2, 3, 4):
+        raise ManifestError(f"scale must be 2, 3 or 4, got {scale}")
+    return scale
+
+
 @dataclass
 class DatasetManifest:
     images: list[ManifestEntry]
@@ -194,8 +202,7 @@ class DatasetManifest:
     patch: PatchParams = field(default_factory=PatchParams)
 
     def __post_init__(self):
-        if self.scale not in (2, 3, 4):
-            raise ManifestError(f"scale must be 2, 3 or 4, got {self.scale}")
+        check_scale(self.scale)
 
     def paths(self, role: str) -> list[str]:
         return [e.path for e in self.images if e.role == role]
@@ -249,12 +256,13 @@ def extract_patches(
     h, w = hr.shape[2], hr.shape[3]
     if h < ps or w < ps:
         raise ManifestError(f"image {source or '<tensor>'} smaller than {ps}x{ps} after crop: {h}x{w}")
-    lrs, hrs = [], []
-    for r in range(0, h - ps + 1, stride):
-        for c in range(0, w - ps + 1, stride):
-            lrs.append(lr_full[0, :, r : r + ps, c : c + ps])
-            hrs.append(hr[0, :, r + BORDER : r + BORDER + hs, c + BORDER : c + BORDER + hs])
-    return PatchSet(np.stack(lrs), np.stack(hrs))
+    grid = (slice(None), slice(0, h - ps + 1, stride), slice(0, w - ps + 1, stride))
+
+    def cut(img: np.ndarray, size: int) -> np.ndarray:  # (C, H, W) -> (N, C, size, size), row-major grid order
+        win = np.lib.stride_tricks.sliding_window_view(img, (size, size), axis=(1, 2))[grid]
+        return np.array(win.transpose(1, 2, 0, 3, 4), order="C").reshape(-1, img.shape[0], size, size)
+
+    return PatchSet(cut(lr_full[0], ps), cut(hr[0, :, BORDER:, BORDER:], hs))
 
 
 def build_patches(manifest: DatasetManifest, role: str = "train"):

@@ -54,12 +54,11 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
 
 
 def _filter_valid(img: np.ndarray, window: np.ndarray, axis: int) -> np.ndarray:
-    """1-D valid correlation along an axis via shifted-slice accumulation."""
-    k = len(window)
-    length = img.shape[axis] - k + 1
-    out = np.zeros(img.take(range(length), axis=axis).shape, dtype=np.float64)
+    """1-D valid correlation along an axis via shifted-view accumulation."""
+    shifted = np.lib.stride_tricks.sliding_window_view(img, len(window), axis=axis)
+    out = np.zeros(shifted.shape[:-1], dtype=np.float64)
     for i, w in enumerate(window):
-        out += w * img.take(range(i, i + length), axis=axis)
+        out += w * shifted[..., i]
     return out
 
 
@@ -72,9 +71,9 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
 
     def blur(x):
-        return _filter_valid(_filter_valid(x.astype(np.float64), win, 2), win, 3)
+        return _filter_valid(_filter_valid(x, win, 2), win, 3)
 
-    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    a64, b64 = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
     mu_a, mu_b = blur(a64), blur(b64)
     var_a = blur(a64 * a64) - mu_a**2
     var_b = blur(b64 * b64) - mu_b**2

@@ -148,6 +148,19 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not (tmp / "out").exists()
 
+    @pytest.mark.parametrize("command", [["train"], ["trim", "--mode", "trim_train"]], ids=["train", "trim_train"])
+    @pytest.mark.parametrize("config_scale, flag", [(-1, []), (0, []), (7, []), (2, ["--scale", "7"])],
+                             ids=["config-1", "config0", "config7", "flag7"])
+    def test_scale_out_of_range_rejected_before_patch_cache(self, workspace, capsys, command, config_scale, flag):
+        tmp, config, config_path = workspace
+        (tmp / "train.ctpd").write_bytes(b"not a patch cache")  # reading it would fail with another error
+        config["scale"] = config_scale
+        rewrite(config_path, config)
+        assert cli.main(command + flag + ["--config", str(config_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: scale must be 2, 3 or 4, got ")
+        assert not (tmp / "out").exists()
+
     def test_bad_config_invariant_rejected(self, workspace, capsys):
         tmp, config, config_path = workspace
         config["train"]["target_depth"] = 4

@@ -52,7 +52,46 @@ class TestPgmIO:
             data.load_image(str(p))
 
 
+def loop_resize_weights(n_in, n_out):
+    """Reference: the per-row loop that data.resize_weights replaced."""
+    scale = n_out / n_in
+    centers = (np.arange(n_out) + 0.5) / scale - 0.5
+    width = min(scale, 1.0)
+    support = 2.0 / width
+    mat = np.zeros((n_out, n_in))
+    for i, u in enumerate(centers):
+        lo = int(np.floor(u - support)) + 1
+        taps = np.arange(lo, int(np.floor(u + support)) + 1)
+        w = data._cubic_kernel((u - taps) * width) * width
+        np.add.at(mat[i], np.clip(taps, 0, n_in - 1), w)
+        mat[i] /= mat[i].sum()
+    return mat
+
+
+def loop_extract_patches(hr_image, scale, params):
+    """Reference: the per-patch loop that data.extract_patches replaced."""
+    hr = data.crop_to_multiple(hr_image, scale)
+    lr_full = data.degrade(hr, scale)
+    ps, hs, stride, b = params.lr_size, params.hr_size, params.stride, data.BORDER
+    lrs, hrs = [], []
+    for r in range(0, hr.shape[2] - ps + 1, stride):
+        for c in range(0, hr.shape[3] - ps + 1, stride):
+            lrs.append(lr_full[0, :, r : r + ps, c : c + ps])
+            hrs.append(hr[0, :, r + b : r + b + hs, c + b : c + b + hs])
+    return np.stack(lrs), np.stack(hrs)
+
+
 class TestBicubicResize:
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    @pytest.mark.parametrize("n_small", [1, 2, 3, 4, 5, 7, 12, 45, 61])
+    def test_weights_equal_row_loop_bit_for_bit(self, scale, n_small):
+        for n_in, n_out in ((n_small * scale, n_small), (n_small, n_small * scale)):
+            assert np.array_equal(data.resize_weights(n_in, n_out), loop_resize_weights(n_in, n_out))
+
+    @pytest.mark.parametrize("n_in, n_out", [(1, 1), (3, 3), (4, 9), (9, 4), (2, 17), (17, 2), (180, 1), (5, 180)])
+    def test_uneven_ratios_equal_row_loop_bit_for_bit(self, n_in, n_out):
+        assert np.array_equal(data.resize_weights(n_in, n_out), loop_resize_weights(n_in, n_out))
+
     def test_identity_resample(self, rng):
         img = rng.random((1, 1, 9, 11), dtype=np.float32)
         out = data.bicubic_resize(img, 9, 11)
@@ -120,6 +159,22 @@ class TestDegrade:
 
 
 class TestExtractPatches:
+    @pytest.mark.parametrize("scale", [2, 3])
+    @pytest.mark.parametrize("shape, params", [
+        ((70, 101), data.PatchParams()),  # stride equal to the patch size
+        ((101, 70), data.PatchParams(33, 10, 17)),  # stride below it
+        ((47, 90), data.PatchParams(21, 7, 5)),
+        ((34, 70), data.PatchParams()),  # one grid row
+        ((40, 45), data.PatchParams(33, 1, 17)),
+    ])
+    def test_grid_equals_patch_loop_bit_for_bit(self, scale, shape, params):
+        img = synthetic_image(np.random.default_rng(sum(shape)), *shape)
+        patches = data.extract_patches(img, scale, params)
+        lr, hr = loop_extract_patches(img, scale, params)
+        assert patches.lr.dtype == lr.dtype and patches.hr.dtype == hr.dtype
+        assert np.array_equal(patches.lr, lr) and np.array_equal(patches.hr, hr)
+        assert patches.lr.flags.c_contiguous and patches.lr.flags.writeable
+
     def test_66px_grid_yields_four_pairs(self):
         img = synthetic_image(np.random.default_rng(0), 66, 66)
         patches = data.extract_patches(img, 2, data.PatchParams(), source="img")

@@ -32,7 +32,29 @@ class TestPsnr:
             )
 
 
+def take_filter_valid(img, window, axis):
+    """Reference: the take-based filter that evaluate._filter_valid replaced."""
+    length = img.shape[axis] - len(window) + 1
+    out = np.zeros(img.take(range(length), axis=axis).shape, dtype=np.float64)
+    for i, w in enumerate(window):
+        out += w * img.take(range(i, i + length), axis=axis)
+    return out
+
+
 class TestSsim:
+    @pytest.mark.parametrize("shape", [(1, 1, 11, 11), (1, 1, 16, 40), (1, 1, 57, 23), (2, 1, 30, 30)])
+    def test_equals_take_reference_bit_for_bit(self, rng, monkeypatch, shape):
+        a = rng.random(shape, dtype=np.float32)
+        b = np.clip(a + rng.normal(0, 0.05, shape).astype(np.float32), 0, 1)
+        win = evaluate._gaussian_window(evaluate.SSIM_WINDOW, evaluate.SSIM_SIGMA)
+        x = a.astype(np.float64) * b
+        for axis in (2, 3):
+            assert np.array_equal(evaluate._filter_valid(x, win, axis), take_filter_valid(x, win, axis))
+        got = evaluate.ssim(a, b)
+        monkeypatch.setattr(evaluate, "_filter_valid", take_filter_valid)
+        assert got == evaluate.ssim(a, b)
+        assert got == evaluate.ssim(a.astype(np.float64), b.astype(np.float64))
+
     def test_identical_is_one(self, rng):
         x = rng.random((1, 1, 16, 16), dtype=np.float32)
         assert evaluate.ssim(x, x.copy()) == pytest.approx(1.0)
