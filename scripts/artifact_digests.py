@@ -4,12 +4,12 @@ outputs, and print their sha256.
 
     PYTHONPATH=src python scripts/artifact_digests.py OUT_DIR
 
-Trains and trims on a small synthetic corpus with fixed seeds and writes 32
+Trains and trims on a small synthetic corpus with fixed seeds and writes 28
 files under OUT_DIR: the patch cache (.ctpd); the cascade d3/d5/d7, one-shot
 d5 and trim-train d3/d5/d7 checkpoints; every stage of cascade trimming and
-of independent and greedy one-shot trimming, each with and without
-fine-tuning; and the outputs of the CLI commands prepare, train (cascade and
-one-shot), trim (cascade, greedy one-shot, trim_train). Beside them it writes
+of one-shot trimming, each with and without fine-tuning; and the outputs of
+the CLI commands prepare, train (cascade, one-shot, trim_train) and trim
+(cascade). Beside them it writes
 16 inference outputs as .npy: model.forward of a He-scaled d7 and a
 cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input and on a
 tall narrow one that spans at least three of forward's row bands, and the
@@ -48,9 +48,8 @@ def library_artifacts(out: str, patches: data.PatchSet):
     for tuned, fine, fine_cfg in (("", None, None), ("_ft", patches, cfg)):
         trimming.cascade_trim(d7, fine, fine_cfg, trimming.default_plan(7, trimming.MODE_CASCADE_TRIM, seed=SEED),
                               checkpoint_stem=f"{out}/cascade_trim{tuned}")
-        for mode in (trimming.MODE_ONE_SHOT_INDEPENDENT, trimming.MODE_ONE_SHOT_GREEDY):
-            trimming.one_shot_trim(d7, trimming.default_plan(7, mode), fine, fine_cfg,
-                                   checkpoint_stem=f"{out}/{mode}{tuned}")
+        trimming.one_shot_trim(d7, trimming.default_plan(7, trimming.MODE_ONE_SHOT_INDEPENDENT), fine, fine_cfg,
+                               checkpoint_stem=f"{out}/{trimming.MODE_ONE_SHOT_INDEPENDENT}{tuned}")
 
 
 def cli_artifacts(out: str, manifest: str):
@@ -63,9 +62,8 @@ def cli_artifacts(out: str, manifest: str):
         ["prepare"],
         ["train", "--out", f"{out}/cli_train.ctsr"],
         ["train", "--mode", "one_shot", "--out", f"{out}/cli_one_shot.ctsr"],
+        ["train", "--mode", "trim_train", "--out", f"{out}/cli_trim_train.ctsr"],
         ["trim", "--model", f"{out}/cli_train.ctsr", "--out", f"{out}/cli_cascade_trim.ctsr"],
-        ["trim", "--mode", "one_shot_greedy", "--model", f"{out}/cli_train.ctsr", "--out", f"{out}/cli_greedy.ctsr"],
-        ["trim", "--mode", "trim_train", "--out", f"{out}/cli_trim_train.ctsr"],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -22,8 +22,8 @@ TOP_KEYS = {"seed": int, "scale": int, "manifest": str, "patches": str, "model_i
             "log_dir": str, "train": dict, "trim": dict}
 TRAIN_KEYS = {"mode": str, "learning_rate": float, "plateau_threshold": float, "target_depth": int,
               "batch_size": int, "max_epochs_per_stage": int}
-TRIM_KEYS = {"mode": str, "rate": float, "rates": list, "seed": int}
-TRAINERS = {"cascade": cascade_train, "one_shot": one_shot_train}
+TRIM_KEYS = {"mode": str, "rate": float}
+TRAINERS = {"cascade": cascade_train, "one_shot": one_shot_train, "trim_train": trimming.trim_train}
 
 
 class ConfigError(ValueError):
@@ -31,9 +31,7 @@ class ConfigError(ValueError):
 
 
 def _of_type(value, kind: type) -> bool:
-    """An int counts as a float, a bool as neither; trim.rates, the one list key, holds numbers."""
-    if kind is list:
-        return isinstance(value, list) and all(_of_type(v, float) for v in value)
+    """An int counts as a float, a bool as neither."""
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -124,22 +122,14 @@ def cmd_train(cfg: dict, args) -> int:
     return 0
 
 
-def _trim_plan(cfg: dict, args, mode: str, depth: int) -> trimming.TrimPlan:
-    section = cfg.get("trim", {})
-    seed = section.get("seed")
-    if seed is None:
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if section.get("rates") is None:
-        return trimming.default_plan(depth, mode, section.get("rate", 0.5), seed)
-    return trimming.TrimPlan(rates=section["rates"], mode=mode, seed=seed)
-
-
 def cmd_trim(cfg: dict, args) -> int:
-    mode = args.mode or cfg.get("trim", {}).get("mode", "cascade")
-    scale = _scale(cfg, args, 2)  # only trim_train reads it; the other modes keep the model's
-    if mode != "trim_train":  # trim_train trains from scratch and reads no model
-        model_in = args.model or _require(cfg, "model_in", "trim")
-        _check_exists(model_in, "model")
+    section = cfg.get("trim", {})
+    mode = args.mode or section.get("mode", trimming.MODE_CASCADE_TRIM)
+    modes = [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT]
+    if mode not in modes:
+        raise ConfigError(f"trim mode must be one of {modes}, got {mode!r}")
+    model_in = args.model or _require(cfg, "model_in", "trim")
+    _check_exists(model_in, "model")
     patches = None
     train_cfg = None
     if cfg.get("patches"):
@@ -149,15 +139,12 @@ def cmd_trim(cfg: dict, args) -> int:
     model_out = args.out or _require(cfg, "model_out", "trim")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
-    if mode == "trim_train":
-        if patches is None or train_cfg is None:
-            raise ConfigError("trim_train needs a patch cache and a train section")
-        net, _ = trimming.trim_train(patches, train_cfg, log_dir=cfg.get("log_dir"), checkpoint_stem=stem, scale=scale)
-    else:
-        parent = load_model(model_in)
-        plan = _trim_plan(cfg, args, mode, parent.depth)
-        trim = trimming.cascade_trim if mode == "cascade" else trimming.one_shot_trim
-        net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, checkpoint_stem=stem)
+    parent = load_model(model_in)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    plan = trimming.default_plan(parent.depth, mode, section.get("rate", 0.5), seed)
+    # looked up at call time, so a patched module attribute is the one called
+    trim = trimming.cascade_trim if mode == trimming.MODE_CASCADE_TRIM else trimming.one_shot_trim
+    net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, checkpoint_stem=stem)
     save_model(net, model_out)
     print(f"trimmed to {param_count(net)} parameters -> {model_out}")
     return 0
@@ -229,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int, default=None)
         if name == "eval":
             p.add_argument("--mode", choices=["bicubic"], help="score the bicubic baseline instead of a model")
+        if name in ("prepare", "train", "eval"):
+            p.add_argument("--scale", type=int, default=None)
         if name == "infer":
             p.add_argument("input", nargs="?", help="input PGM image")
-        else:
-            p.add_argument("--scale", type=int, default=None)
     return parser
 
 

@@ -115,6 +115,8 @@ def run_epoch(
     the rest of the epoch, which gives the same weights as fresh arrays.
     """
     n = patches.lr.shape[0]
+    if n == 0:
+        raise ValueError("cannot train on an empty patch set (0 patch pairs)")
     order = ops.RngState(cfg.seed).child(2, stage, epoch).permutation(n)
     ws = _workspaces(net)
     total = 0.0

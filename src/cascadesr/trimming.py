@@ -22,7 +22,6 @@ from .ops import RngState
 from .training import TrainConfig, _train_stage, cascade_train
 
 MODE_ONE_SHOT_INDEPENDENT = "one_shot_independent"
-MODE_ONE_SHOT_GREEDY = "one_shot_greedy"
 MODE_CASCADE_TRIM = "cascade"
 
 # fine-tune epochs draw shuffles from stage keys offset far above training stages
@@ -36,7 +35,7 @@ class TrimPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (MODE_ONE_SHOT_INDEPENDENT, MODE_ONE_SHOT_GREEDY, MODE_CASCADE_TRIM):
+        if self.mode not in (MODE_ONE_SHOT_INDEPENDENT, MODE_CASCADE_TRIM):
             raise ValueError(f"unknown trim mode {self.mode!r}")
         if any(not (0 <= r < 1) for r in self.rates):
             raise ValueError(f"trim rates must lie in [0, 1), got {self.rates}")
@@ -57,13 +56,8 @@ def filter_importance(weights: np.ndarray) -> float:
 
 
 def importance_scores(net: NetworkModel, layer_index: int) -> np.ndarray:
-    """Per-filter importance for one layer, scoring the kernels as they stand.
-
-    Greedy one-shot trimming scores the network trimmed so far, whose next
-    layers have already lost the input slices of removed filters, so a filter
-    whose mass lives in removed channels scores lower (Li et al.,
-    arXiv:1608.08710).
-    """
+    """Per-filter importance for one layer, scoring the kernels as they stand
+    (Li et al., arXiv:1608.08710)."""
     if not 0 <= layer_index < net.depth:
         raise IndexError(f"layer index {layer_index} out of range for depth {net.depth}")
     w = net.layers[layer_index].weights
@@ -124,7 +118,7 @@ def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
             victims = choose(current, stage, i, count)
             current = trim_filters(current, i, victims)
             removed[i] = victims
-        if patches is None or cfg is None or len(patches) == 0:
+        if patches is None or cfg is None:
             log = StageLog(depth=current.depth)
         else:
             current, log = _train_stage(current, patches, cfg, FINETUNE_STAGE_BASE + stage)
@@ -147,16 +141,15 @@ def one_shot_trim(
     """Trim every layer at once by importance score, then fine-tune.
 
     Filter counts come from the original layer widths: floor(rate_i * n_i)
-    lowest-scoring filters go, ties broken toward the lower filter index.
-    Independent mode scores the untrimmed network; greedy mode scores the
-    network trimmed so far. Returns (net, the one stage's log).
+    lowest-scoring filters go, ties broken toward the lower filter index,
+    every layer scored on the untrimmed network. Returns (net, the one
+    stage's log).
     """
-    if plan.mode not in (MODE_ONE_SHOT_INDEPENDENT, MODE_ONE_SHOT_GREEDY):
+    if plan.mode != MODE_ONE_SHOT_INDEPENDENT:
         raise ValueError(f"one_shot_trim needs a one-shot plan, got mode {plan.mode!r}")
-    greedy = plan.mode == MODE_ONE_SHOT_GREEDY
 
     def lowest_importance(current, stage, i, count):
-        scores = importance_scores(current if greedy else net, i)
+        scores = importance_scores(net, i)
         return sorted(np.argsort(scores, kind="stable")[:count].tolist())
 
     stages = [range(net.depth - 1)]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cascadesr import cli, data, model
+from cascadesr import cli, data, model, ops
 from cascadesr.synth import make_corpus, synthetic_image
 
 
@@ -47,6 +47,18 @@ def workspace(tmp_path):
 
 def rewrite(config_path, config):
     config_path.write_text(json.dumps(config))
+
+
+@pytest.fixture
+def empty_cache(workspace, capsys):
+    """The workspace with a patch cache of 0 pairs: every train image is smaller than a patch."""
+    tmp, config, config_path = workspace
+    manifest = data.DatasetManifest.from_json(config["manifest"])
+    for entry in manifest.images:
+        data.save_image(synthetic_image(np.random.default_rng(3), 16, 16), entry.path)
+    assert cli.main(["prepare", "--config", str(config_path)]) == 0
+    assert "0 patch pairs written" in capsys.readouterr().out
+    return tmp, config, config_path
 
 
 class TestPrepare:
@@ -148,7 +160,7 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not (tmp / "out").exists()
 
-    @pytest.mark.parametrize("command", [["train"], ["trim", "--mode", "trim_train"]], ids=["train", "trim_train"])
+    @pytest.mark.parametrize("command", [["train"], ["train", "--mode", "trim_train"]], ids=["train", "trim_train"])
     @pytest.mark.parametrize("config_scale, flag", [(-1, []), (0, []), (7, []), (2, ["--scale", "7"])],
                              ids=["config-1", "config0", "config7", "flag7"])
     def test_scale_out_of_range_rejected_before_patch_cache(self, workspace, capsys, command, config_scale, flag):
@@ -160,6 +172,14 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: scale must be 2, 3 or 4, got ")
         assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "trim_train"]], ids=["cascade", "trim_train"])
+    def test_empty_patch_cache_rejected(self, empty_cache, capsys, mode):
+        tmp, config, config_path = empty_cache
+        assert cli.main(["train", "--config", str(config_path)] + mode) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "empty patch set" in err[0]
+        assert not list(tmp.rglob("*.ctsr"))
 
     def test_bad_config_invariant_rejected(self, workspace, capsys):
         tmp, config, config_path = workspace
@@ -224,14 +244,46 @@ class TestTrim:
         tmp, config, config_path = workspace
         config["scale"] = 3
         config["model_out"] = str(tmp / "out" / "slim.ctsr")
-        config["trim"] = {"mode": "trim_train"}
         rewrite(config_path, config)
         cli.main(["prepare", "--config", str(config_path)])
         assert "model_in" not in config
-        assert cli.main(["trim", "--config", str(config_path)]) == 0
+        assert cli.main(["train", "--mode", "trim_train", "--config", str(config_path)]) == 0
         net = model.load_model(config["model_out"])
         assert net.scale == 3
         assert net.filter_counts() == [32] + [16] * 5 + [1]
+
+    @pytest.mark.parametrize(
+        "argv,trim,message",
+        [
+            (["--mode", "trim_train"], {}, "trim mode must be one of ['cascade', 'one_shot_independent'], got 'trim_train'"),
+            (["--mode", "one_shot_greedy"], {}, "got 'one_shot_greedy'"),
+            ([], {"mode": "one_shot_greedy"}, "got 'one_shot_greedy'"),
+            ([], {"seed": 3}, "unknown trim config keys: ['seed']"),
+            ([], {"rates": [0.5, 0.0]}, "unknown trim config keys: ['rates']"),
+        ],
+        ids=["mode_trim_train", "mode_greedy", "config_mode_greedy", "trim_seed", "trim_rates"],
+    )
+    def test_removed_mode_or_key_rejected_before_model_and_patch_cache(self, workspace, capsys, argv, trim, message):
+        tmp, config, config_path = workspace
+        (tmp / "train.ctpd").write_bytes(b"not a patch cache")  # reading it would fail with another error
+        config["model_in"] = str(tmp / "absent.ctsr")
+        config["trim"] = trim
+        rewrite(config_path, config)
+        assert cli.main(["trim", "--config", str(config_path)] + argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp / "out").exists()
+
+    def test_empty_patch_cache_rejected(self, empty_cache, capsys):
+        tmp, config, config_path = empty_cache
+        model_in = tmp / "parent.ctsr"
+        model.save_model(model.build_network(5, ops.RngState(2)), str(model_in))
+        config["model_in"] = str(model_in)
+        rewrite(config_path, config)
+        assert cli.main(["trim", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "empty patch set" in err[0]
+        assert [p.name for p in tmp.rglob("*.ctsr")] == ["parent.ctsr"]
 
     def test_zero_rate_one_shot_keeps_weights(self, trained):
         tmp, config, config_path = trained
@@ -253,6 +305,7 @@ class TestFlags:
         [
             (["prepare", "--depth", "5"], "unrecognized arguments: --depth 5"),
             (["eval", "--mode", "foo"], "invalid choice"),
+            (["trim", "--scale", "3"], "unrecognized arguments: --scale 3"),
         ],
     )
     def test_flag_the_command_does_not_read_rejected(self, workspace, capsys, argv, message):

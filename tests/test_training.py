@@ -87,6 +87,11 @@ class TestRunEpoch:
             losses.append(run)
         assert losses[0] == losses[1]
 
+    def test_empty_patch_set_rejected(self):
+        net = model.build_network(3, ops.RngState(1))
+        with pytest.raises(ValueError, match="empty patch set"):
+            training.run_epoch(net, make_patchset(n=0), quick_cfg())
+
     def test_epochs_shuffle_differently(self):
         cfg = quick_cfg()
         order0 = ops.RngState(cfg.seed).child(2, 0, 0).permutation(100)

@@ -47,10 +47,10 @@ class TestImportanceScores:
         w[0, 0] = 1.0  # filter A: all mass in channel 0
         w[1, 1:] = 0.5  # filter B: mass elsewhere
         ind = trimming.importance_scores(net, 1)
-        greedy = trimming.importance_scores(trimming.trim_filters(net, 0, [0]), 1)
+        trimmed = trimming.importance_scores(trimming.trim_filters(net, 0, [0]), 1)
         assert ind[0] > 0
-        assert greedy[0] == 0.0
-        assert greedy[1] > 0
+        assert trimmed[0] == 0.0
+        assert trimmed[1] > 0
 
     def test_permutation_equivariant(self, rng):
         net = model.build_network(3, ops.RngState(4))
@@ -160,8 +160,8 @@ class TestOneShotTrim:
         assert log.removed_filters[0] == [2, 7, 11]
 
     def test_greedy_differs_from_independent(self):
-        # layer-1 filters whose mass sits in channels removed from layer 0
-        # score lower in greedy mode and get picked instead
+        # one-shot scores the untrimmed network: a layer-1 filter whose mass
+        # sits in channels removed from layer 0 still scores high and stays
         net = model.build_network(3, ops.RngState(6))
         net.layers[0].weights[:] = 1.0
         net.layers[0].weights[:32] = 0.0  # first 32 filters of layer 0 go
@@ -171,10 +171,7 @@ class TestOneShotTrim:
         w1[1:, 32:] = 0.2
         rate = [0.5, 1 / 32, 0.0]
         _, ind_log = trimming.one_shot_trim(net, trimming.TrimPlan(rates=rate, mode="one_shot_independent"))
-        _, greedy_log = trimming.one_shot_trim(net, trimming.TrimPlan(rates=rate, mode="one_shot_greedy"))
-        # independent keeps filter 0 of layer 1 (big raw mass); greedy removes it
         assert ind_log.removed_filters[1] == [1]
-        assert greedy_log.removed_filters[1] == [0]
 
     def test_finetune_runs_to_plateau(self, net13):
         plan = trimming.default_plan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
@@ -239,7 +236,7 @@ class TestCascadeTrim:
 
 
 class TestStageHistory:
-    @pytest.mark.parametrize("mode", [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_GREEDY])
+    @pytest.mark.parametrize("mode", [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT])
     def test_trim_stages_follow_training_stages(self, mode):
         net = model.build_network(7, ops.RngState(8))
         trained = model.StageLog(7, [0.01], "plateau", {}, model.param_count(net))
