@@ -10,10 +10,11 @@ d5 and trim-train d3/d5/d7 checkpoints; every stage of cascade trimming and
 of one-shot trimming, each with and without fine-tuning; and the outputs of
 the CLI commands prepare, train (cascade, one-shot, trim_train) and trim
 (cascade). Beside them it writes
-16 inference outputs as .npy: model.forward of a He-scaled d7 and a
-cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input and on a
-tall narrow one that spans at least three of forward's row bands, and the
-float64 conv2d_forward and conv2d_backward results at pad 0 and pad 1, and
+20 inference outputs as .npy: model.forward of a He-scaled d7 and a
+cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input, a tall
+narrow one (13,146 x 20) and a short wide one (48 x 2,100) that crosses
+many of forward's row chunks, and the float64 conv2d_forward and
+conv2d_backward results at pad 0 and pad 1, and
 2 eval outputs as .npy: the (PSNR, SSIM) of each test image from
 evaluate.benchmark of the CLI-trained cascade model and of the bicubic
 baseline. It prints "sha256  name" per file, then the sha256 of that sorted
@@ -92,11 +93,11 @@ def inference_outputs(out: str):
     d7 = he_scaled(model.build_network(7, ops.RngState(SEED)), gen)
     d13 = he_scaled(model.build_network(13, ops.RngState(SEED)), gen)
     trim13, _ = trimming.cascade_trim(d13, None, None, trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=SEED))
-    width = 20
-    # model.forward's rows per band at batch 1 for the narrower net; batch 2 and d7 get more bands
-    rows = model.BAND_BUDGET // (max(trim13.filter_counts()) * width * 4)
+    # fixed shapes, so the inputs do not depend on model.BAND_BUDGET; the wide
+    # input has its own generator, so adding it moved no other draw
     inputs = {"square": gen.random((2, 1, 512, 512), np.float32),
-              "tall": gen.random((2, 1, 2 * rows + 40, width), np.float32)}
+              "tall": gen.random((2, 1, 13_146, 20), np.float32),
+              "wide": np.random.default_rng(SEED + 1).random((2, 1, 48, 2_100), np.float32)}
     for net_name, net in (("d7", d7), ("trim13", trim13)):
         for input_name, x in inputs.items():
             for batch in (1, 2):

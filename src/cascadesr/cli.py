@@ -128,6 +128,9 @@ def cmd_trim(cfg: dict, args) -> int:
     modes = [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT]
     if mode not in modes:
         raise ConfigError(f"trim mode must be one of {modes}, got {mode!r}")
+    if args.seed is not None and mode == trimming.MODE_ONE_SHOT_INDEPENDENT and not cfg.get("patches"):
+        # one-shot victims are ranked, and with no fine-tuning nothing random runs
+        raise ConfigError("--seed has no effect on one_shot_independent trimming without a patches cache")
     model_in = args.model or _require(cfg, "model_in", "trim")
     _check_exists(model_in, "model")
     patches = None

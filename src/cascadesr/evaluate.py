@@ -22,7 +22,7 @@ SSIM_C2 = 0.03**2
 def infer_image(net: NetworkModel, lr_upsampled: np.ndarray) -> np.ndarray:
     """Whole-image forward pass; output shrinks by 8 pixels per side.
 
-    model.forward streams the image through the network in bands of rows, so
+    model.forward streams the image through the network in chunks of rows, so
     memory stays bounded whatever the image height; the output equals a
     whole-image pass bit for bit.
     """

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import atomic_write
-from .ops import FLOAT, RngState, check_tensor4, conv2d_forward, conv2d_output_size, gaussian_init
+from .ops import FLOAT, RngState, Workspace, check_tensor4, conv2d_forward, conv2d_output_size, gaussian_init
 
 MAGIC = b"CTSR"
 FORMAT_VERSION = 1
@@ -31,8 +31,10 @@ ACT_RELU = "rectifier"
 _ACT_CODES = {ACT_NONE: 0, ACT_RELU: 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
-# bytes of the widest activation forward holds per band of output rows
-BAND_BUDGET = 16 << 20
+# bytes of the widest activation forward holds per chunk of input rows. Line
+# buffers make small chunks recompute nothing; 4 MiB read a lower
+# infer-large peak RSS than 1 or 2 MiB
+BAND_BUDGET = 4 << 20
 
 # init std for every built layer, and the noise added to each inserted layer's identity tap
 GAUSSIAN_SIGMA = 0.001
@@ -232,50 +234,49 @@ def insert_layers(
 
 
 def forward(net: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """Whole-network forward pass, streamed through all layers in bands of
-    output rows.
+    """Whole-network forward pass, streamed through all layers in chunks of
+    input rows.
 
-    Each band of at most BAND_BUDGET bytes of the widest activation runs
-    through the whole chain (fused-layer streaming, Alwani et al., MICRO
-    2016): every layer computes only the rows the next one reads, its k - 1
-    row halo included, and padded layers get zero rows only at the image's
-    true top and bottom. Peak memory is bounded by band x width x widest
-    layer, whatever the image height; each output pixel is the same sum, in
-    the same order, as a whole-image pass.
+    Each layer keeps a line buffer (the reuse model of fused-layer
+    streaming, Alwani et al., MICRO 2016): the last k - 1 rows of its
+    column-padded input. It joins them to the rows the layer before passed
+    on, convolves, keeps the new last k - 1 rows and passes on exactly the
+    output rows it could compute, so no row is computed twice. A padded
+    layer gets its top zero rows with its first rows and its bottom zero
+    rows with the image's last chunk. Peak memory is bounded by chunk x
+    width x widest layer, whatever the image height; each output pixel is
+    the same sum, in the same order, as a whole-image pass.
     """
     check_tensor4(x, "input")
     if x.shape[1] != 1:
         raise InvalidNetworkError(f"network takes 1 input channel, got {x.shape[1]}")
     heights, widths = zip(*_layer_sizes(net, x.shape[2], x.shape[3]))
+    n = x.shape[0]
     widest = max(l.spec.out_filters for l in net.layers)
-    rows = max(1, BAND_BUDGET // (x.shape[0] * widest * x.shape[3] * x.itemsize))
-    out = np.empty((x.shape[0], 1, heights[-1], widths[-1]), dtype=x.dtype)
-    for top in range(0, heights[-1], rows):
-        bottom = min(top + rows, heights[-1])
-        out[:, :, top:bottom] = _forward_band(net, x, heights, top, bottom)
+    rows = max(1, BAND_BUDGET // (n * widest * x.shape[3] * x.itemsize))
+    out = np.empty((n, 1, heights[-1], widths[-1]), dtype=x.dtype)
+    held = [None] * net.depth  # each layer's line buffer, once the layer has had rows
+    ws = Workspace()  # one column buffer for every chunk's convolutions, not one per call
+    done = 0
+    for top in range(0, x.shape[2], rows):
+        last = top + rows >= x.shape[2]
+        h = x[:, :, top : top + rows]
+        for i, layer in enumerate(net.layers):
+            s = layer.spec
+            if s.pad:  # zero columns, and zero rows only at the image's true top and bottom
+                h = np.pad(h, ((0, 0), (0, 0), (s.pad * (held[i] is None), s.pad * last), (s.pad, s.pad)))
+            if held[i] is not None:
+                h = np.concatenate([held[i], h], axis=2)
+            held[i] = h[:, :, 1 - s.kernel_size :].copy()
+            if h.shape[2] < s.kernel_size:
+                break  # too few rows yet for one output row
+            h = conv2d_forward(h, layer.weights, layer.bias, 0, ws=ws)
+            if s.activation == ACT_RELU:
+                np.maximum(h, 0, out=h)
+        else:
+            out[:, :, done : done + h.shape[2]] = h
+            done += h.shape[2]
     return out
-
-
-def _forward_band(net: NetworkModel, x: np.ndarray, heights: tuple[int, ...], top: int, bottom: int) -> np.ndarray:
-    """Output rows [top, bottom) of the network; heights[i] is layer i's input height."""
-    # spans[i]: the rows of layer i's input (layer i-1's output) that the band needs
-    spans = [(top, bottom)]
-    for i in reversed(range(net.depth)):
-        s = net.layers[i].spec
-        lo, hi = spans[0]
-        spans.insert(0, (max(0, lo - s.pad), min(heights[i], hi - s.pad + s.kernel_size - 1)))
-    h = x[:, :, spans[0][0] : spans[0][1]]
-    for i, layer in enumerate(net.layers):
-        s = layer.spec
-        if s.pad:
-            (lo, hi), (olo, ohi) = spans[i], spans[i + 1]
-            # zero rows where the wanted rows reach past the image, zero columns on both sides
-            zero_rows = (lo - (olo - s.pad), (ohi - s.pad + s.kernel_size - 1) - hi)
-            h = np.pad(h, ((0, 0), (0, 0), zero_rows, (s.pad, s.pad)))
-        h = conv2d_forward(h, layer.weights, layer.bias, 0)
-        if s.activation == ACT_RELU:
-            np.maximum(h, 0, out=h)
-    return h
 
 
 def clone(net: NetworkModel) -> NetworkModel:

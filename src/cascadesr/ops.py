@@ -7,8 +7,9 @@ kernels (out_filters, in_channels, kh, kw). Every operation here is
 deterministic for fixed inputs and a fixed BLAS thread count. The four conv
 entry points share one engine (pad, unfold, one matmul plus bias in the
 dtype each entry point fixes) whose arrays live in a Workspace (ws=):
-training passes its own to reuse them from batch to batch, and ws=None
-means a throwaway one.
+training passes its own to reuse them from batch to batch, model.forward
+its own to reuse them from chunk to chunk, and ws=None means a throwaway
+one.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc, ws
     return out.reshape(x.shape[0], co, oh, ow), cols
 
 
-def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
+def conv2d_forward(
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, *, ws: Workspace | None = None
+) -> np.ndarray:
     """Stride-1 cross-correlation of a 4-D batch with square kernels,
     accumulated in float64.
 
@@ -148,10 +151,11 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int
     each band's float64 columns kept under COLS_BUDGET bytes in one buffer
     that every band reuses, and every band is written into one preallocated
     output. Each output value is the same sum, in the same order, as with
-    one unfold of the whole input.
+    one unfold of the whole input. A caller that convolves many chunks
+    passes one workspace, so the buffers are reused across its calls too.
     """
     co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
-    ws = Workspace()
+    ws = ws or Workspace()
     xp = _pad(x, pad, ws)
     kernel64, bias64 = kernel.astype(np.float64), bias.astype(np.float64)
     out = np.empty((x.shape[0], co, oh, ow), dtype=x.dtype)
@@ -249,14 +253,18 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 
 
 def sgd_step(params, grads, lr: float):
-    """In-place p <- p - lr * g over matching lists of arrays."""
+    """In-place p <- p - lr * g over matching lists of arrays.
+
+    Each g is overwritten with lr * g, so the step allocates nothing; pass
+    copies of gradients that are still needed.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     lr = FLOAT(lr)
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError("param vs grad dims", p.shape, g.shape)
-        p -= lr * g
+        p -= np.multiply(g, lr, out=g)
     return params
 
 

@@ -274,6 +274,17 @@ class TestTrim:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert not (tmp / "out").exists()
 
+    def test_seed_without_fine_tuning_rejected_before_model(self, workspace, capsys):
+        tmp, config, config_path = workspace
+        del config["patches"]
+        config["model_in"] = str(tmp / "absent.ctsr")  # reading it would fail with another error
+        config["trim"] = {"mode": "one_shot_independent"}
+        rewrite(config_path, config)
+        assert cli.main(["trim", "--config", str(config_path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed has no effect") and "absent" not in err[0]
+        assert not (tmp / "out").exists()
+
     def test_empty_patch_cache_rejected(self, empty_cache, capsys):
         tmp, config, config_path = empty_cache
         model_in = tmp / "parent.ctsr"

@@ -137,8 +137,14 @@ def whole_image_chain(net, x):
 
 
 class TestStreamedForward:
-    @pytest.mark.parametrize("name", ["d7", "trim13"])
-    def test_matches_whole_image_chain(self, name):
+    # a 1-byte budget gives one-row chunks, so joins fall inside padded layers too
+    @pytest.mark.parametrize(
+        "name,budget", [("d7", None), ("trim13", None), ("d7", 1), ("trim13", 1)],
+        ids=["d7", "trim13", "d7-budget1", "trim13-budget1"],
+    )
+    def test_matches_whole_image_chain(self, name, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(model, "BAND_BUDGET", budget)
         if name == "d7":
             net = he_weights(model.build_network(7, ops.RngState(7)), np.random.default_rng(7))
         else:
@@ -150,8 +156,26 @@ class TestStreamedForward:
         band_rows = model.BAND_BUDGET // (2 * widest * width * 4)
         x = np.random.default_rng(3).random((2, 1, 2 * band_rows + 40, width), dtype=np.float32)
         got = model.forward(net, x)
-        assert got.shape[2] > 2 * band_rows  # three bands or more
+        assert got.shape[2] > 2 * band_rows  # three chunks or more
         np.testing.assert_array_equal(got, whole_image_chain(net, x))
+
+    def test_no_row_is_computed_twice(self, monkeypatch):
+        net = model.build_network(7, ops.RngState(4), first_filters=8, mid_filters=4)
+        width = 2_048
+        band_rows = model.BAND_BUDGET // (8 * width * 4)
+        x = np.random.default_rng(4).random((1, 1, 3 * band_rows + 40, width), dtype=np.float32)
+        handed = []
+
+        def counting(h, kernel, bias, pad, **kwargs):
+            co, ci, k, _ = kernel.shape
+            oh, ow = (ops.conv2d_output_size(d, k, pad) for d in h.shape[2:])
+            handed.append(h.shape[0] * co * ci * k * k * oh * ow)
+            return ops.conv2d_forward(h, kernel, bias, pad, **kwargs)
+
+        monkeypatch.setattr(model, "conv2d_forward", counting)
+        model.forward(net, x)
+        assert len(handed) > 3 * net.depth  # several chunks through every layer
+        assert sum(handed) == model.multiply_count(net, *x.shape[2:])
 
     def test_peak_memory_does_not_grow_with_height(self):
         net = he_weights(model.build_network(7, ops.RngState(2), mid_filters=4), np.random.default_rng(2))

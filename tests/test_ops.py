@@ -254,12 +254,19 @@ class TestSgdStep:
 
     def test_two_steps_equal_summed_gradient(self, rng):
         g1, g2 = rand_tensor(rng, 3), rand_tensor(rng, 3)
+        summed = g1 + g2
         p_a = np.ones(3, np.float32)
         ops.sgd_step([p_a], [g1], 0.01)
         ops.sgd_step([p_a], [g2], 0.01)
         p_b = np.ones(3, np.float32)
-        ops.sgd_step([p_b], [g1 + g2], 0.01)
+        ops.sgd_step([p_b], [summed], 0.01)
         np.testing.assert_allclose(p_a, p_b, atol=1e-7)
+
+    def test_in_place_step_bit_equals_out_of_place(self, rng):
+        p, g = rand_tensor(rng, 32, 5, 5), rand_tensor(rng, 32, 5, 5)
+        expected = p.copy() - ops.FLOAT(0.05) * g.copy()
+        ops.sgd_step([p], [g], 0.05)
+        assert p.tobytes() == expected.tobytes()
 
     def test_requires_positive_lr(self):
         with pytest.raises(ValueError):
