@@ -17,8 +17,9 @@ many of forward's row chunks, and the float64 conv2d_forward and
 conv2d_backward results at pad 0 and pad 1, and
 2 eval outputs as .npy: the (PSNR, SSIM) of each test image from
 evaluate.benchmark of the CLI-trained cascade model and of the bicubic
-baseline. It prints "sha256  name" per file, then the sha256 of that sorted
-list.
+baseline. It also digests the JSON sidecar (layer specs and stage history)
+that each of the 26 .ctsr models has, so 76 files in all. It prints
+"sha256  name" per file, then the sha256 of that sorted list.
 
 Run it at two commits to show that a change keeps every artifact
 byte-identical. The digests depend on the numpy/BLAS build and the BLAS
@@ -127,7 +128,8 @@ def main():
     eval_outputs(out, manifest)
     inference_outputs(out)
 
-    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd", ".npy")))
+    # every artifact and model sidecar, not the run's own CLI config
+    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd", ".npy", ".json")) and f != "cli.json")
     lines = []
     for name in names:
         with open(os.path.join(out, name), "rb") as fh:

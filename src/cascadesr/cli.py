@@ -144,7 +144,7 @@ def cmd_trim(cfg: dict, args) -> int:
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     parent = load_model(model_in)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    plan = trimming.default_plan(parent.depth, mode, section.get("rate", 0.5), seed)
+    plan = trimming.TrimPlan(parent.depth, mode, section.get("rate", 0.5), seed)
     # looked up at call time, so a patched module attribute is the one called
     trim = trimming.cascade_trim if mode == trimming.MODE_CASCADE_TRIM else trimming.one_shot_trim
     net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, checkpoint_stem=stem)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,20 +102,14 @@ class EvalReport:
     scale: int
     rows: list[EvalRow] = field(default_factory=list)
 
-    @property
-    def mean_psnr(self) -> float:
-        vals = [r.psnr_db for r in self.rows if not r.error]
+    def _mean(self, field_name: str) -> float:
+        """Mean of one EvalRow field over the scored images; NaN if none scored."""
+        vals = [getattr(r, field_name) for r in self.rows if not r.error]
         return float(np.mean(vals)) if vals else float("nan")
 
-    @property
-    def mean_ssim(self) -> float:
-        vals = [r.ssim for r in self.rows if not r.error]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    @property
-    def mean_seconds(self) -> float:
-        vals = [r.seconds for r in self.rows if not r.error]
-        return float(np.mean(vals)) if vals else float("nan")
+    mean_psnr = property(lambda self: self._mean("psnr_db"))
+    mean_ssim = property(lambda self: self._mean("ssim"))
+    mean_seconds = property(lambda self: self._mean("seconds"))
 
     def write_json(self, path: str) -> None:
         """Strict JSON: a value with no JSON number (a failed image's scores,
@@ -124,14 +118,8 @@ class EvalReport:
             "net": self.net_id,
             "scale": self.scale,
             "images": [
-                {
-                    "image": r.image,
-                    "psnr_db": _number(r.psnr_db),
-                    "psnr_infinite": math.isinf(r.psnr_db),
-                    "ssim": _number(r.ssim),
-                    "seconds": r.seconds,
-                    "error": r.error,
-                }
+                {**asdict(r), "psnr_db": _number(r.psnr_db), "psnr_infinite": math.isinf(r.psnr_db),
+                 "ssim": _number(r.ssim)}
                 for r in self.rows
             ],
             "mean_psnr_db": _number(self.mean_psnr),

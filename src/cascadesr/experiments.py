@@ -102,13 +102,13 @@ def run_trimming_arms(
     total_budget = stages * DESK_FINETUNE_EPOCH_CAP
 
     ft_cfg = desk_train_config(seed, epoch_cap=DESK_FINETUNE_EPOCH_CAP)
-    plan = trimming.default_plan(parent.depth, trimming.MODE_CASCADE_TRIM, seed=seed)
+    plan = trimming.TrimPlan(parent.depth, trimming.MODE_CASCADE_TRIM, seed=seed)
     casc_net, casc_logs = trimming.cascade_trim(parent, patches, ft_cfg, plan)
     result.trim_psnr["cascade_trim"] = heldout_psnr(casc_net, manifest)
     print(f"    cascade_trim fine-tune epochs per stage: {[l.epochs for l in casc_logs]}")
 
     os_cfg = desk_train_config(seed, epoch_cap=total_budget)
-    os_plan = trimming.default_plan(parent.depth, trimming.MODE_ONE_SHOT_INDEPENDENT, seed=seed)
+    os_plan = trimming.TrimPlan(parent.depth, trimming.MODE_ONE_SHOT_INDEPENDENT, seed=seed)
     os_net, os_log = trimming.one_shot_trim(parent, os_plan, patches, os_cfg)
     result.trim_psnr["one_shot"] = heldout_psnr(os_net, manifest)
     print(f"    one_shot fine-tune epochs: {os_log.epochs}")

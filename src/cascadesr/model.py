@@ -8,8 +8,9 @@ training patches shareable across growth stages.
 Model files are little-endian binary with magic "CTSR" (format below); a
 JSON sidecar with the same stem duplicates the layer specs and holds the
 stage history (training, then trimming stages) for inspection. The binary
-file is authoritative. A save replaces both files only once both are
-written in full.
+file is authoritative: a model with no sidecar loads with an empty history,
+but a sidecar that cannot be read is a ModelFormatError. A save replaces
+both files only once both are written in full.
 """
 
 from __future__ import annotations
@@ -307,16 +308,7 @@ def save_model(net: NetworkModel, path: str) -> None:
     sidecar = {
         "format_version": FORMAT_VERSION,
         "scale": net.scale,
-        "layers": [
-            {
-                "kernel_size": l.spec.kernel_size,
-                "in_channels": l.spec.in_channels,
-                "out_filters": l.spec.out_filters,
-                "pad": l.spec.pad,
-                "activation": l.spec.activation,
-            }
-            for l in net.layers
-        ],
+        "layers": [asdict(l.spec) for l in net.layers],
         "stage_history": [asdict(log) for log in net.stage_history],
     }
     # both files are replaced only once both are written in full
@@ -362,11 +354,14 @@ def load_model(path: str) -> NetworkModel:
         raise ModelFormatError(f"{len(blob) - off} trailing bytes after last layer")
     net = NetworkModel(layers, scale=scale)
     net.validate()
+    sidecar = _sidecar_path(path)
     try:
-        with open(_sidecar_path(path)) as fh:
+        with open(sidecar) as fh:
             meta = json.load(fh)
         net.stage_history = [StageLog.from_dict(r) for r in meta.get("stage_history", [])]
-    except (OSError, ValueError, KeyError, TypeError):
-        pass  # sidecar is informational; the binary is authoritative
+    except FileNotFoundError:
+        pass  # a bare binary loads with no history: the binary is authoritative
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ModelFormatError(f"unreadable sidecar {sidecar}: {exc}") from exc
     return net
 

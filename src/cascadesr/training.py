@@ -127,7 +127,13 @@ def run_epoch(
     return net, total / n
 
 
-def _train_stage(net, patches, cfg, stage, log_writer=None):
+def _log_row(path, row, mode="a"):
+    """Write one train_log.csv row straight to disk, so the log of a running run is current."""
+    with open(path, mode, newline="") as fh:
+        csv.writer(fh).writerow(row)
+
+
+def _train_stage(net, patches, cfg, stage, log_path=None):
     """Train until the plateau rule or the epoch cap ends the stage.
 
     A previous-epoch loss of 0 is a perfect fit and ends the stage as a
@@ -139,8 +145,8 @@ def _train_stage(net, patches, cfg, stage, log_writer=None):
         net, loss = run_epoch(net, patches, cfg, epoch=epoch, stage=stage)
         seconds = time.perf_counter() - t0
         log.losses.append(loss)
-        if log_writer is not None:
-            log_writer.writerow([stage, net.depth, epoch, f"{loss:.8e}", f"{seconds:.3f}"])
+        if log_path is not None:
+            _log_row(log_path, [stage, net.depth, epoch, f"{loss:.8e}", f"{seconds:.3f}"])
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"non-finite loss {loss} at depth {net.depth}, stage {stage}, epoch {epoch}")
         if epoch >= 1 and (log.losses[-2] == 0 or plateau_reached(log.losses[-2], loss, cfg.plateau_threshold)):
@@ -150,38 +156,24 @@ def _train_stage(net, patches, cfg, stage, log_writer=None):
     return net, log
 
 
-class _TrainLogger:
-    def __init__(self, log_dir):
-        self.fh = None
-        self.writer = None
-        if log_dir is not None:
-            os.makedirs(log_dir, exist_ok=True)
-            self.fh = open(os.path.join(log_dir, "train_log.csv"), "w", newline="")
-            self.writer = csv.writer(self.fh)
-            self.writer.writerow(["stage_index", "depth", "epoch", "mean_loss", "wall_seconds"])
-
-    def close(self):
-        if self.fh is not None:
-            self.fh.close()
-
-
 def _grow(net, rng, patches, cfg, log_dir, checkpoint_stem):
     """Train stage after stage, inserting layers between stages, until
     cfg.target_depth; log and checkpoint every stage."""
-    logger = _TrainLogger(log_dir)
-    try:
-        stage = 0
-        while True:
-            net, log = _train_stage(net, patches, cfg, stage, logger.writer)
-            net.stage_history.append(log)
-            if checkpoint_stem is not None:
-                save_model(net, f"{checkpoint_stem}-d{net.depth}.ctsr")
-            if net.depth >= cfg.target_depth:
-                break
-            stage += 1
-            net = insert_layers(net, rng.child(1, stage))
-    finally:
-        logger.close()
+    log_path = None
+    if log_dir is not None:
+        os.makedirs(log_dir, exist_ok=True)
+        log_path = os.path.join(log_dir, "train_log.csv")
+        _log_row(log_path, ["stage_index", "depth", "epoch", "mean_loss", "wall_seconds"], "w")
+    stage = 0
+    while True:
+        net, log = _train_stage(net, patches, cfg, stage, log_path)
+        net.stage_history.append(log)
+        if checkpoint_stem is not None:
+            save_model(net, f"{checkpoint_stem}-d{net.depth}.ctsr")
+        if net.depth >= cfg.target_depth:
+            break
+        stage += 1
+        net = insert_layers(net, rng.child(1, stage))
     return net, list(net.stage_history)
 
 
@@ -196,7 +188,7 @@ def cascade_train(
 ):
     """Grow from 3 layers to cfg.target_depth, training each stage to plateau.
 
-    Returns (net, stage logs). Writes a per-stage CSV log and a model
+    Returns (net, stage logs). Writes a CSV log row per epoch and a model
     checkpoint at every stage boundary when the optional paths are given.
     """
     rng = ops.RngState(cfg.seed)

@@ -12,12 +12,12 @@ the deepest trimmable pair (the single-filter output layer is never trimmed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import PatchSet
-from .model import Layer, LayerSpec, NetworkModel, StageLog, clone, param_count, save_model
+from .model import Layer, NetworkModel, StageLog, clone, param_count, save_model
 from .ops import RngState
 from .training import TrainConfig, _train_stage, cascade_train
 
@@ -30,38 +30,29 @@ FINETUNE_STAGE_BASE = 1000
 
 @dataclass
 class TrimPlan:
-    rates: list[float]
-    mode: str = MODE_ONE_SHOT_INDEPENDENT
+    """Trim floor(rate * n_i) of the n_i filters of each layer a stage trims, on a depth-layer net."""
+
+    depth: int
+    mode: str
+    rate: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (MODE_ONE_SHOT_INDEPENDENT, MODE_CASCADE_TRIM):
             raise ValueError(f"unknown trim mode {self.mode!r}")
-        if any(not (0 <= r < 1) for r in self.rates):
-            raise ValueError(f"trim rates must lie in [0, 1), got {self.rates}")
-        if self.rates and self.rates[-1] != 0:
-            raise ValueError("the final layer's trim rate must be 0 (single output filter)")
+        if not 0 <= self.rate < 1:
+            raise ValueError(f"trim rate must lie in [0, 1), got {self.rate}")
 
 
-def default_plan(depth: int, mode: str, rate: float = 0.5, seed: int = 0) -> TrimPlan:
-    """Uniform-rate plan over all trimmable layers (last layer pinned to 0)."""
-    return TrimPlan(rates=[rate] * (depth - 1) + [0.0], mode=mode, seed=seed)
-
-
-def filter_importance(weights: np.ndarray) -> float:
-    """Relative importance of one filter: the square sum of its weights."""
-    if weights.size == 0:
-        raise ValueError("empty weight set")
-    return float(np.sum(weights.astype(np.float64) ** 2))
+default_plan = TrimPlan  # the older name, which perfbench and the digest script still call
 
 
 def importance_scores(net: NetworkModel, layer_index: int) -> np.ndarray:
-    """Per-filter importance for one layer, scoring the kernels as they stand
-    (Li et al., arXiv:1608.08710)."""
+    """Per-filter importance for one layer: the square sum of each filter's
+    weights as they stand (Li et al., arXiv:1608.08710), in float64."""
     if not 0 <= layer_index < net.depth:
         raise IndexError(f"layer index {layer_index} out of range for depth {net.depth}")
-    w = net.layers[layer_index].weights
-    return np.array([filter_importance(w[j]) for j in range(w.shape[0])])
+    return np.sum(net.layers[layer_index].weights.astype(np.float64) ** 2, axis=(1, 2, 3))
 
 
 def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> NetworkModel:
@@ -79,19 +70,16 @@ def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> Network
         raise IndexError(f"filter indices {indices} out of range for {n} filters")
     if len(indices) >= n:
         raise ValueError(f"cannot remove all {n} filters of layer {layer_index}")
-    keep = [j for j in range(n) if j not in set(indices)]
-    spec = layer.spec
-    out.layers[layer_index] = Layer(
-        LayerSpec(spec.kernel_size, spec.in_channels, len(keep), spec.pad, spec.activation),
-        np.ascontiguousarray(layer.weights[keep]),
-        np.ascontiguousarray(layer.bias[keep]),
-    )
     nxt = out.layers[layer_index + 1]
-    nspec = nxt.spec
+    out.layers[layer_index] = Layer(
+        replace(layer.spec, out_filters=n - len(indices)),
+        np.delete(layer.weights, indices, axis=0),
+        np.delete(layer.bias, indices),
+    )
     out.layers[layer_index + 1] = Layer(
-        LayerSpec(nspec.kernel_size, len(keep), nspec.out_filters, nspec.pad, nspec.activation),
-        np.ascontiguousarray(nxt.weights[:, keep]),
-        nxt.bias.copy(),
+        replace(nxt.spec, in_channels=n - len(indices)),
+        np.ascontiguousarray(np.delete(nxt.weights, indices, axis=1)),
+        nxt.bias,
     )
     return out.validate()
 
@@ -99,20 +87,20 @@ def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> Network
 def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
     """Stage loop shared by one-shot and cascade trimming.
 
-    Stage n (from 1) removes floor(rate_i * n_i) filters, picked by
+    Stage n (from 1) removes floor(plan.rate * n_i) filters, picked by
     choose(current, stage, i, count), from each layer i of stages[n - 1], then
     fine-tunes the whole network to plateau when patches and cfg are given,
     appends the stage's log to the network's stage_history after the
     training stages, and writes the -trimS{n} checkpoint.
     """
-    if len(plan.rates) != net.depth:
-        raise ValueError(f"plan has {len(plan.rates)} rates for depth {net.depth}")
+    if plan.depth != net.depth:
+        raise ValueError(f"plan is for depth {plan.depth}, the network has depth {net.depth}")
     current = clone(net)
     logs = []
     for stage, layers in enumerate(stages):
         removed: dict[int, list[int]] = {}
         for i in layers:
-            count = math.floor(plan.rates[i] * current.layers[i].spec.out_filters)
+            count = math.floor(plan.rate * current.layers[i].spec.out_filters)
             if count == 0:
                 continue
             victims = choose(current, stage, i, count)
@@ -140,7 +128,7 @@ def one_shot_trim(
 ):
     """Trim every layer at once by importance score, then fine-tune.
 
-    Filter counts come from the original layer widths: floor(rate_i * n_i)
+    Filter counts come from the original layer widths: floor(plan.rate * n_i)
     lowest-scoring filters go, ties broken toward the lower filter index,
     every layer scored on the untrimmed network. Returns (net, the one
     stage's log).
@@ -149,8 +137,7 @@ def one_shot_trim(
         raise ValueError(f"one_shot_trim needs a one-shot plan, got mode {plan.mode!r}")
 
     def lowest_importance(current, stage, i, count):
-        scores = importance_scores(net, i)
-        return sorted(np.argsort(scores, kind="stable")[:count].tolist())
+        return sorted(np.argsort(importance_scores(net, i), kind="stable")[:count].tolist())
 
     stages = [range(net.depth - 1)]
     current, logs = _trim_stages(net, plan, stages, lowest_importance, patches, cfg, checkpoint_stem)

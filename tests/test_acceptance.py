@@ -32,6 +32,26 @@ def report(criterion: str, passed: bool, detail: str):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
+def seed_detail(bicubic: float, arms: dict) -> str:
+    """Report-only noise detail for a mean ordering over seeds: each arm's
+    per-seed values and its mean's margin over bicubic, then for each step
+    between neighbouring arms the per-seed paired margins and how many seeds
+    order the two arms as their means do."""
+    parts = [
+        f"{name} per seed {'/'.join(f'{v:.2f}' for v in vals)} ({experiments.mean(vals) - bicubic:+.2f} vs bicubic)"
+        for name, vals in arms.items()
+    ]
+    names = list(arms)
+    for lo, hi in zip(names, names[1:]):
+        margins = [h - l for l, h in zip(arms[lo], arms[hi])]
+        agree = sum((m >= 0) == (experiments.mean(margins) >= 0) for m in margins)
+        parts.append(
+            f"{hi} - {lo} per seed {'/'.join(f'{m:+.2f}' for m in margins)}, "
+            f"{agree}/{len(margins)} seeds agree with the means"
+        )
+    return f"; bicubic {bicubic:.2f} dB; " + "; ".join(parts)
+
+
 class TestCriterion1ParamCounts:
     def test_param_count_regression(self):
         built = [model.param_count(model.build_network(d, ops.RngState(0))) for d in range(3, 21, 2)]
@@ -41,7 +61,7 @@ class TestCriterion1ParamCounts:
             net = model.insert_layers(net, ops.RngState(2))
             grown.append(model.param_count(net))
         net13 = model.build_network(13, ops.RngState(3))
-        plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=4)
+        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=4)
         _, logs = trimming.cascade_trim(net13, None, None, plan)
         trim_counts = [log.param_count_after for log in logs[:4]]
         ok = built == TABLE1 and grown == TABLE1 and trim_counts == TABLE4_S1_S4
@@ -142,7 +162,8 @@ class TestCriterion4BicubicBaseline:
 
 @pytest.fixture(scope="session")
 def desk(tmp_path_factory):
-    """Train every desk-scale arm once for all three seeds (criteria 5-7).
+    """Train every desk-scale arm once for all three seeds (criteria 5-7);
+    returns (bicubic baseline PSNR, one SeedResult per seed).
 
     Each seed trains in its own spawned process with one BLAS thread. The
     seeds share no state and every run is deterministic, so the results equal
@@ -159,41 +180,50 @@ def desk(tmp_path_factory):
         env.setenv("OPENBLAS_NUM_THREADS", "1")
         with ProcessPoolExecutor(len(seeds), mp_context=multiprocessing.get_context("spawn")) as pool:
             n = len(seeds)
-            return list(pool.map(experiments.run_seed, [patches] * n, [manifest] * n, seeds, [str(root / "work")] * n))
+            results = list(pool.map(experiments.run_seed, [patches] * n, [manifest] * n, seeds, [str(root / "work")] * n))
+    return bicubic, results
 
 
 class TestCriterion5CascadeBenefit:
     def test_cascade5_vs_oneshot5(self, desk):
-        casc = experiments.mean(r.cascade_psnr[5] for r in desk)
-        oneshot = experiments.mean(r.one_shot5_psnr for r in desk)
+        bicubic, seeds = desk
+        casc = experiments.mean(r.cascade_psnr[5] for r in seeds)
+        oneshot = experiments.mean(r.one_shot5_psnr for r in seeds)
+        arms = {"one-shot-5": [r.one_shot5_psnr for r in seeds], "cascade-5": [r.cascade_psnr[5] for r in seeds]}
         report(
             "5 desk-scale cascade benefit",
             casc >= oneshot,
-            f"cascade-5 mean {casc:.2f} dB vs one-shot-5 mean {oneshot:.2f} dB over {len(desk)} seeds",
+            f"cascade-5 mean {casc:.2f} dB vs one-shot-5 mean {oneshot:.2f} dB over {len(seeds)} seeds"
+            + seed_detail(bicubic, arms),
         )
         assert casc >= oneshot
 
 
 class TestCriterion6DepthTrend:
     def test_non_decreasing_3_5_7(self, desk):
-        means = [experiments.mean(r.cascade_psnr[d] for r in desk) for d in (3, 5, 7)]
+        bicubic, seeds = desk
+        means = [experiments.mean(r.cascade_psnr[d] for r in seeds) for d in (3, 5, 7)]
         ok = means[0] <= means[1] <= means[2]
         report(
             "6 monotone depth trend",
             ok,
-            f"mean heldout PSNR d3/d5/d7 = {means[0]:.2f}/{means[1]:.2f}/{means[2]:.2f} dB",
+            f"mean heldout PSNR d3/d5/d7 = {means[0]:.2f}/{means[1]:.2f}/{means[2]:.2f} dB"
+            + seed_detail(bicubic, {f"d{d}": [r.cascade_psnr[d] for r in seeds] for d in (3, 5, 7)}),
         )
         assert means[0] <= means[1] <= means[2]
 
 
 class TestCriterion7TrimOrdering:
     def test_one_shot_trim_train_cascade(self, desk):
-        m = {k: experiments.mean(r.trim_psnr[k] for r in desk) for k in ("one_shot", "trim_train", "cascade_trim")}
+        bicubic, seeds = desk
+        arms = {k: [r.trim_psnr[k] for r in seeds] for k in ("one_shot", "trim_train", "cascade_trim")}
+        m = {k: experiments.mean(v) for k, v in arms.items()}
         ok = m["one_shot"] <= m["trim_train"] <= m["cascade_trim"]
         report(
             "7 trimming ordering",
             ok,
-            f"one_shot {m['one_shot']:.2f} <= trim_train {m['trim_train']:.2f} <= cascade_trim {m['cascade_trim']:.2f} dB",
+            f"one_shot {m['one_shot']:.2f} <= trim_train {m['trim_train']:.2f} <= cascade_trim {m['cascade_trim']:.2f} dB"
+            + seed_detail(bicubic, arms),
         )
         assert m["one_shot"] <= m["trim_train"] <= m["cascade_trim"]
 
@@ -201,7 +231,7 @@ class TestCriterion7TrimOrdering:
 class TestCriterion8Efficiency:
     def test_trimmed_is_faster_and_multiplies_fall(self):
         net13 = model.build_network(13, ops.RngState(5))
-        plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=6)
+        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=6)
         trimmed, _ = trimming.cascade_trim(net13, None, None, plan)
         x = np.random.default_rng(0).random((1, 1, 180, 180), dtype=np.float32)
 

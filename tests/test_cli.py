@@ -306,7 +306,7 @@ class TestTrim:
         parent = model.load_model(config["model_in"])
         import cascadesr.trimming as trimming
 
-        out, _ = trimming.one_shot_trim(parent, trimming.default_plan(parent.depth, "one_shot_independent", 0.0))
+        out, _ = trimming.one_shot_trim(parent, trimming.TrimPlan(parent.depth, "one_shot_independent", 0.0))
         assert [l.weights.tobytes() for l in out.layers] == [l.weights.tobytes() for l in parent.layers]
 
 

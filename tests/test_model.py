@@ -149,7 +149,7 @@ class TestStreamedForward:
             net = he_weights(model.build_network(7, ops.RngState(7)), np.random.default_rng(7))
         else:
             d13 = he_weights(model.build_network(13, ops.RngState(13)), np.random.default_rng(13))
-            plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=1)
+            plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=1)
             net, _ = trimming.cascade_trim(d13, None, None, plan)
         widest = max(net.filter_counts())
         width = 18
@@ -267,6 +267,25 @@ class TestSerialization:
         ]
         loaded = model.load_model(str(p))
         assert loaded.stage_history == base_net.stage_history
+
+    def test_unreadable_sidecar_rejected(self, base_net, tmp_path):
+        # dropping it would load an empty history, which trim then saves with every stage
+        p = tmp_path / "m.ctsr"
+        base_net.stage_history.append(model.StageLog(3, [0.002], "plateau", {}, 57_184))
+        model.save_model(base_net, str(p))
+        sidecar = tmp_path / "m.json"
+        sidecar.write_text(sidecar.read_text() + "garbage")
+        with pytest.raises(model.ModelFormatError, match="m.json"):
+            model.load_model(str(p))
+
+    def test_missing_sidecar_loads_with_no_history(self, base_net, tmp_path):
+        p = tmp_path / "m.ctsr"
+        base_net.stage_history.append(model.StageLog(3, [0.002], "plateau", {}, 57_184))
+        model.save_model(base_net, str(p))
+        (tmp_path / "m.json").unlink()
+        loaded = model.load_model(str(p))
+        assert loaded.stage_history == []
+        assert loaded.filter_counts() == base_net.filter_counts()
 
     def test_failed_save_leaves_old_files(self, base_net, tmp_path, monkeypatch):
         p = tmp_path / "m.ctsr"

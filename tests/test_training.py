@@ -147,7 +147,7 @@ class TestReusedBuffers:
         patches = make_patchset(n=44, seed=4)
         net = he_weights(model.build_network(7, ops.RngState(2)), np.random.default_rng(6))
         if trimmed:
-            plan = trimming.default_plan(7, trimming.MODE_CASCADE_TRIM, seed=1)
+            plan = trimming.TrimPlan(7, trimming.MODE_CASCADE_TRIM, seed=1)
             net, _ = trimming.cascade_trim(net, None, None, plan)
             assert net.filter_counts() == [32, 16, 16, 16, 16, 16, 1]
         reference = model.clone(net)
@@ -234,6 +234,21 @@ class TestCascadeTrain:
         assert lines[0] == "stage_index,depth,epoch,mean_loss,wall_seconds"
         assert len(lines) == 4  # 3 stages x 1 epoch
 
+    def test_each_row_on_disk_before_the_next_epoch(self, tmp_path, monkeypatch):
+        log = tmp_path / "train_log.csv"
+        lines_seen = []
+        original = training.run_epoch
+
+        def spy(*args, **kwargs):
+            lines_seen.append(len(log.read_text().splitlines()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "run_epoch", spy)
+        cfg = quick_cfg(target_depth=5, max_epochs_per_stage=2)
+        training.cascade_train(make_patchset(n=16), cfg, log_dir=str(tmp_path))
+        # the header, then one more row as each epoch ends, across the stage boundary too
+        assert lines_seen == [1, 2, 3, 4]
+        assert len(log.read_text().splitlines()) == 5
 
     def test_log_holds_one_run(self, tmp_path):
         patches = make_patchset(n=16)

@@ -21,21 +21,51 @@ def tiny_patches(n=16, lr_size=21, seed=0):
     )
 
 
+def one_layer(weights):
+    """A bare one-layer model around a weight array, so importance_scores
+    can score slabs of any shape and count."""
+    co, ci, k, _ = weights.shape
+    spec = model.LayerSpec(k, ci, co, 0, model.ACT_NONE)
+    return model.NetworkModel([model.Layer(spec, weights, np.zeros(co, np.float32))])
+
+
+def per_filter_loop(weights):
+    """The per-filter loop importance_scores replaced, kept as its reference."""
+    return np.array([float(np.sum(weights[j].astype(np.float64) ** 2)) for j in range(weights.shape[0])])
+
+
 class TestFilterImportance:
     def test_arithmetic(self):
-        assert trimming.filter_importance(np.array([0.1, -0.2, 0.3])) == pytest.approx(0.14)
+        w = np.zeros((2, 1, 3, 3), np.float32)
+        w[1, 0, 0] = [0.1, -0.2, 0.3]
+        np.testing.assert_allclose(trimming.importance_scores(one_layer(w), 0), [0.0, 0.14], rtol=1e-7)
 
     def test_all_zero(self):
-        assert trimming.filter_importance(np.zeros((3, 3, 32))) == 0.0
+        net = model.build_network(3, ops.RngState(2))
+        net.layers[1].weights[:] = 0
+        assert trimming.importance_scores(net, 1).tolist() == [0.0] * 32
 
     def test_matches_reference_summation(self, rng):
-        slab = rng.standard_normal((32, 3, 3)).astype(np.float32)
-        reference = float(sum(float(w) ** 2 for w in slab.reshape(-1)))
-        assert abs(trimming.filter_importance(slab) - reference) < 1e-7
+        slab = rng.standard_normal((4, 32, 3, 3)).astype(np.float32)
+        reference = [float(sum(float(w) ** 2 for w in f.reshape(-1))) for f in slab]
+        np.testing.assert_allclose(trimming.importance_scores(one_layer(slab), 0), reference, rtol=0, atol=1e-7)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            trimming.filter_importance(np.zeros((0,)))
+    def test_negative_index_rejected(self, net13):
+        with pytest.raises(IndexError):
+            trimming.importance_scores(net13, -1)
+
+    @pytest.mark.parametrize(
+        "ci,k", [(1, 9), (64, 5), (32, 3), (32, 5), (32, 9), (16, 5), (16, 3)],
+        ids=["9x9-1", "5x5-64", "3x3-32", "5x5-32", "9x9-32", "5x5-16", "3x3-16"],
+    )
+    def test_bit_equal_to_per_filter_loop(self, ci, k):
+        # 400 slabs per shape, magnitudes spread over four decades
+        r = np.random.default_rng(ci * 100 + k)
+        scale = 10.0 ** r.uniform(-3, 1, (400, 1, 1, 1))
+        w = (r.standard_normal((400, ci, k, k)) * scale).astype(np.float32)
+        got = trimming.importance_scores(one_layer(w), 0)
+        assert got.dtype == np.float64
+        assert got.tobytes() == per_filter_loop(w).tobytes()
 
 
 class TestImportanceScores:
@@ -137,14 +167,14 @@ class TestTrimFilters:
 
 class TestOneShotTrim:
     def test_half_rate_filter_counts(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+        plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
         out, log = trimming.one_shot_trim(net13, plan)
         assert out.filter_counts() == [32] + [16] * 11 + [1]
         assert log.param_count_after == 38_832
         assert sorted(log.removed_filters) == list(range(12))
 
     def test_zero_rate_identity(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=0.0)
+        plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=0.0)
         out, log = trimming.one_shot_trim(net13, plan)
         for a, b in zip(out.layers, net13.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
@@ -155,9 +185,10 @@ class TestOneShotTrim:
         w = net.layers[0].weights
         w[:] = 1.0
         w[[2, 7, 11]] = 0.0  # three clearly-least-important filters
-        plan = trimming.TrimPlan(rates=[3 / 64, 0.0, 0.0], mode=trimming.MODE_ONE_SHOT_INDEPENDENT)
+        net.layers[1].weights[:] = 1.0  # 32 equal scores: the lowest index goes
+        plan = trimming.TrimPlan(3, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=3 / 64)
         out, log = trimming.one_shot_trim(net, plan)
-        assert log.removed_filters[0] == [2, 7, 11]
+        assert log.removed_filters == {0: [2, 7, 11], 1: [0]}
 
     def test_greedy_differs_from_independent(self):
         # one-shot scores the untrimmed network: a layer-1 filter whose mass
@@ -169,12 +200,12 @@ class TestOneShotTrim:
         w1[:] = 0.0
         w1[0, :32] = 10.0  # huge independent mass, all in removed channels
         w1[1:, 32:] = 0.2
-        rate = [0.5, 1 / 32, 0.0]
-        _, ind_log = trimming.one_shot_trim(net, trimming.TrimPlan(rates=rate, mode="one_shot_independent"))
-        assert ind_log.removed_filters[1] == [1]
+        _, ind_log = trimming.one_shot_trim(net, trimming.TrimPlan(3, "one_shot_independent", rate=0.5))
+        assert ind_log.removed_filters[0] == list(range(32))
+        assert ind_log.removed_filters[1] == list(range(1, 17))  # ties among 1..31 go lowest first
 
     def test_finetune_runs_to_plateau(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+        plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
         cfg = training.TrainConfig(
             learning_rate=0.0, plateau_threshold=0.03, target_depth=13, batch_size=8,
             max_epochs_per_stage=5, seed=1,
@@ -188,20 +219,20 @@ class TestCascadeTrim:
         assert trimming.cascade_trim_pairs(13) == [(10, 11), (8, 9), (6, 7), (4, 5), (2, 3), (0, 1)]
 
     def test_six_stages_and_table_values(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=77)
+        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=77)
         out, logs = trimming.cascade_trim(net13, None, None, plan)
         assert len(logs) == 6
         assert [log.param_count_after for log in logs[:4]] == TABLE_TRIM_PARAMS
         assert out.filter_counts() == [32] + [16] * 11 + [1]
 
     def test_param_count_strictly_decreases(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=1)
+        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=1)
         _, logs = trimming.cascade_trim(net13, None, None, plan)
         counts = [model.param_count(net13)] + [log.param_count_after for log in logs]
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
     def test_surgery_locality(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=5)
+        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=5)
         # stage 1 only: layers 10, 11 trimmed, 12 loses input slices; 0..9 untouched
         stage_net = model.clone(net13)
         for layer_index in (10, 11):
@@ -214,7 +245,7 @@ class TestCascadeTrim:
             assert stage_net.layers[i].weights.tobytes() == net13.layers[i].weights.tobytes()
 
     def test_random_selection_reproducible(self, net13):
-        plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=9)
+        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=9)
         a, _ = trimming.cascade_trim(net13, None, None, plan)
         b, _ = trimming.cascade_trim(net13, None, None, plan)
         for la, lb in zip(a.layers, b.layers):
@@ -222,10 +253,10 @@ class TestCascadeTrim:
 
     def test_matches_one_shot_architecture(self, net13):
         cascade, _ = trimming.cascade_trim(
-            net13, None, None, trimming.default_plan(13, trimming.MODE_CASCADE_TRIM)
+            net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
         )
         one_shot, _ = trimming.one_shot_trim(
-            net13, trimming.default_plan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+            net13, trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
         )
         assert [l.spec for l in cascade.layers] == [l.spec for l in one_shot.layers]
 
@@ -241,7 +272,7 @@ class TestStageHistory:
         net = model.build_network(7, ops.RngState(8))
         trained = model.StageLog(7, [0.01], "plateau", {}, model.param_count(net))
         net.stage_history.append(trained)
-        plan = trimming.default_plan(7, mode, seed=3)
+        plan = trimming.TrimPlan(7, mode, seed=3)
         if mode == trimming.MODE_CASCADE_TRIM:
             out, logs = trimming.cascade_trim(net, None, None, plan)
         else:
@@ -266,7 +297,7 @@ class TestTrimTrain:
         )
         net, _ = trimming.trim_train(tiny_patches(), cfg)
         reference, _ = trimming.cascade_trim(
-            net13, None, None, trimming.default_plan(13, trimming.MODE_CASCADE_TRIM)
+            net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
         )
         assert net.filter_counts() == reference.filter_counts()
         assert [l.spec for l in net.layers] == [l.spec for l in reference.layers]
@@ -274,11 +305,16 @@ class TestTrimTrain:
 
 class TestTrimPlan:
     def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            trimming.TrimPlan(rates=[1.0, 0.0], mode="cascade")
-        with pytest.raises(ValueError):
-            trimming.TrimPlan(rates=[0.5, 0.5], mode="cascade")  # last must be 0
+        for rate in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                trimming.TrimPlan(3, "cascade", rate=rate)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError):
-            trimming.TrimPlan(rates=[0.0], mode="surprise")
+            trimming.TrimPlan(3, "surprise")
+
+    def test_depth_mismatch_rejected(self, net13):
+        with pytest.raises(ValueError, match="depth 11"):
+            trimming.cascade_trim(net13, None, None, trimming.TrimPlan(11, trimming.MODE_CASCADE_TRIM))
+        with pytest.raises(ValueError, match="depth 11"):
+            trimming.one_shot_trim(net13, trimming.TrimPlan(11, trimming.MODE_ONE_SHOT_INDEPENDENT))
