@@ -8,8 +8,8 @@ Trains and trims on a small synthetic corpus with fixed seeds and writes 28
 files under OUT_DIR: the patch cache (.ctpd); the cascade d3/d5/d7, one-shot
 d5 and trim-train d3/d5/d7 checkpoints; every stage of cascade trimming and
 of one-shot trimming, each with and without fine-tuning; and the outputs of
-the CLI commands prepare, train (cascade, one-shot, trim_train) and trim
-(cascade). Beside them it writes
+the CLI commands prepare, train (modes cascade, one_shot and trim_train)
+and trim (cascade). Beside them it writes
 20 inference outputs as .npy: model.forward of a He-scaled d7 and a
 cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input, a tall
 narrow one (13,146 x 20) and a short wide one (48 x 2,100) that crosses
@@ -32,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,9 +45,10 @@ TRAIN = dict(learning_rate=0.05, plateau_threshold=0.03, batch_size=8, max_epoch
 
 def library_artifacts(out: str, patches: data.PatchSet):
     cfg = training.TrainConfig(target_depth=7, **TRAIN)
-    d7, _ = training.cascade_train(patches, cfg, checkpoint_stem=f"{out}/cascade")
-    training.one_shot_train(patches, training.TrainConfig(target_depth=5, **TRAIN), checkpoint_stem=f"{out}/one_shot")
-    trimming.trim_train(patches, cfg, checkpoint_stem=f"{out}/trim_train")
+    d7, _ = training.train(patches, cfg, checkpoint_stem=f"{out}/cascade")
+    training.train(patches, training.TrainConfig(target_depth=5, mode="one_shot", **TRAIN),
+                   checkpoint_stem=f"{out}/one_shot")
+    training.train(patches, replace(cfg, mode="trim_train"), checkpoint_stem=f"{out}/trim_train")
     for tuned, fine, fine_cfg in (("", None, None), ("_ft", patches, cfg)):
         trimming.cascade_trim(d7, fine, fine_cfg, trimming.default_plan(7, trimming.MODE_CASCADE_TRIM, seed=SEED),
                               checkpoint_stem=f"{out}/cascade_trim{tuned}")
@@ -55,21 +57,24 @@ def library_artifacts(out: str, patches: data.PatchSet):
 
 
 def cli_artifacts(out: str, manifest: str):
-    config = os.path.join(out, "cli.json")
-    with open(config, "w") as fh:
-        json.dump({"seed": SEED, "manifest": manifest, "patches": f"{out}/cli_prepare.ctpd",
-                   "train": {"mode": "cascade", "target_depth": 5,
-                             **{k: v for k, v in TRAIN.items() if k != "seed"}}}, fh)
+    # one config per train mode, in a subdirectory so that they are not digested
+    configs = os.path.join(out, "cli")
+    os.makedirs(configs)
+    for mode in ("cascade", "one_shot", "trim_train"):
+        with open(os.path.join(configs, f"{mode}.json"), "w") as fh:
+            json.dump({"seed": SEED, "manifest": manifest, "patches": f"{out}/cli_prepare.ctpd",
+                       "train": {"mode": mode, "target_depth": 5,
+                                 **{k: v for k, v in TRAIN.items() if k != "seed"}}}, fh)
     commands = [
-        ["prepare"],
-        ["train", "--out", f"{out}/cli_train.ctsr"],
-        ["train", "--mode", "one_shot", "--out", f"{out}/cli_one_shot.ctsr"],
-        ["train", "--mode", "trim_train", "--out", f"{out}/cli_trim_train.ctsr"],
-        ["trim", "--model", f"{out}/cli_train.ctsr", "--out", f"{out}/cli_cascade_trim.ctsr"],
+        ("cascade", ["prepare"]),
+        ("cascade", ["train", "--out", f"{out}/cli_train.ctsr"]),
+        ("one_shot", ["train", "--out", f"{out}/cli_one_shot.ctsr"]),
+        ("trim_train", ["train", "--out", f"{out}/cli_trim_train.ctsr"]),
+        ("cascade", ["trim", "--model", f"{out}/cli_train.ctsr", "--out", f"{out}/cli_cascade_trim.ctsr"]),
     ]
-    for argv in commands:
+    for mode, argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv + ["--config", config])
+            code = cli.main(argv + ["--config", os.path.join(configs, f"{mode}.json")])
         if code != 0:
             raise SystemExit(f"cascadesr {' '.join(argv)} exited {code}")
 
@@ -128,8 +133,8 @@ def main():
     eval_outputs(out, manifest)
     inference_outputs(out)
 
-    # every artifact and model sidecar, not the run's own CLI config
-    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd", ".npy", ".json")) and f != "cli.json")
+    # every artifact and model sidecar; the corpus and the CLI configs are in subdirectories
+    names = sorted(f for f in os.listdir(out) if f.endswith((".ctsr", ".ctpd", ".npy", ".json")))
     lines = []
     for name in names:
         with open(os.path.join(out, name), "rb") as fh:

@@ -1,8 +1,8 @@
 """Config-driven command line: prepare / train / trim / eval / infer.
 
-A JSON config file carries the run parameters; a handful of flags override
-the common ones. Unknown config keys and wrongly typed values are rejected
-and every referenced path is checked before any work starts.
+A JSON config file carries the run parameters; flags only name files (and
+eval's bicubic baseline). Unknown config keys and wrongly typed values are
+rejected and every referenced path is checked before any work starts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import data, evaluate, trimming
 from .model import load_model, param_count, save_model
-from .training import TrainConfig, cascade_train, one_shot_train
+from .training import TrainConfig, train
 
 # every config key with its JSON type
 TOP_KEYS = {"seed": int, "scale": int, "manifest": str, "patches": str, "model_in": str, "model_out": str,
@@ -23,7 +23,6 @@ TOP_KEYS = {"seed": int, "scale": int, "manifest": str, "patches": str, "model_i
 TRAIN_KEYS = {"mode": str, "learning_rate": float, "plateau_threshold": float, "target_depth": int,
               "batch_size": int, "max_epochs_per_stage": int}
 TRIM_KEYS = {"mode": str, "rate": float}
-TRAINERS = {"cascade": cascade_train, "one_shot": one_shot_train, "trim_train": trimming.trim_train}
 
 
 class ConfigError(ValueError):
@@ -70,28 +69,20 @@ def _check_exists(path: str, what: str):
         raise ConfigError(f"{what} not found: {path}")
 
 
-def _scale(cfg: dict, args, default: int) -> int:
-    """--scale, else the config's scale, else the command's default; 2, 3 or 4."""
-    return data.check_scale(args.scale if args.scale is not None else cfg.get("scale", default))
-
-
-def _manifest(cfg: dict, args, command: str) -> data.DatasetManifest:
+def _manifest(cfg: dict, command: str) -> data.DatasetManifest:
+    """The manifest, at the config's scale if it names one (replace checks it is 2, 3 or 4)."""
     manifest_path = _require(cfg, "manifest", command)
     _check_exists(manifest_path, "manifest")
     manifest = data.DatasetManifest.from_json(manifest_path)
-    return replace(manifest, scale=_scale(cfg, args, manifest.scale))
+    return replace(manifest, scale=cfg.get("scale", manifest.scale))
 
 
-def _train_config(cfg: dict, seed: int | None, depth: int | None = None) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
-    section.pop("mode", None)
-    if depth:
-        section["target_depth"] = depth
-    return TrainConfig(seed=seed if seed is not None else cfg.get("seed", 0), **section)
+def _train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(seed=cfg.get("seed", 0), **cfg.get("train", {}))
 
 
 def cmd_prepare(cfg: dict, args) -> int:
-    manifest = _manifest(cfg, args, "prepare")
+    manifest = _manifest(cfg, "prepare")
     for entry in manifest.images:
         _check_exists(entry.path, "image")
     out = args.out or _require(cfg, "patches", "prepare")
@@ -104,19 +95,15 @@ def cmd_prepare(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
-    mode = args.mode or cfg.get("train", {}).get("mode", "cascade")
-    if mode not in TRAINERS:
-        raise ConfigError(f"train mode must be one of {sorted(TRAINERS)}, got {mode!r}")
-    scale = _scale(cfg, args, 2)
+    tc = _train_config(cfg)
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
-    tc = _train_config(cfg, args.seed, args.depth)
     model_out = args.out or _require(cfg, "model_out", "train")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     log_dir = cfg.get("log_dir")
-    net, _ = TRAINERS[mode](patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
+    net, _ = train(patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=cfg.get("scale", 2))
     save_model(net, model_out)
     print(f"trained depth {net.depth}, {param_count(net)} parameters -> {model_out}")
     return 0
@@ -124,27 +111,22 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_trim(cfg: dict, args) -> int:
     section = cfg.get("trim", {})
-    mode = args.mode or section.get("mode", trimming.MODE_CASCADE_TRIM)
+    mode = section.get("mode", trimming.MODE_CASCADE_TRIM)
     modes = [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT]
     if mode not in modes:
         raise ConfigError(f"trim mode must be one of {modes}, got {mode!r}")
-    if args.seed is not None and mode == trimming.MODE_ONE_SHOT_INDEPENDENT and not cfg.get("patches"):
-        # one-shot victims are ranked, and with no fine-tuning nothing random runs
-        raise ConfigError("--seed has no effect on one_shot_independent trimming without a patches cache")
+    train_cfg = _train_config(cfg) if cfg.get("patches") else None
     model_in = args.model or _require(cfg, "model_in", "trim")
     _check_exists(model_in, "model")
     patches = None
-    train_cfg = None
-    if cfg.get("patches"):
+    if train_cfg is not None:
         _check_exists(cfg["patches"], "patch cache")
         patches = data.load_patches(cfg["patches"])
-        train_cfg = _train_config(cfg, args.seed)
     model_out = args.out or _require(cfg, "model_out", "trim")
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     parent = load_model(model_in)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    plan = trimming.TrimPlan(parent.depth, mode, section.get("rate", 0.5), seed)
+    plan = trimming.TrimPlan(parent.depth, mode, section.get("rate", 0.5), cfg.get("seed", 0))
     # looked up at call time, so a patched module attribute is the one called
     trim = trimming.cascade_trim if mode == trimming.MODE_CASCADE_TRIM else trimming.one_shot_trim
     net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, checkpoint_stem=stem)
@@ -154,7 +136,7 @@ def cmd_trim(cfg: dict, args) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    manifest = _manifest(cfg, args, "eval")
+    manifest = _manifest(cfg, "eval")
     for path in manifest.paths("test"):
         _check_exists(path, "test image")
     net = None
@@ -198,7 +180,7 @@ def cmd_infer(cfg: dict, args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cascadesr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # each command takes only the flags it reads
+    # each command takes only the flags it reads, spelled out in full: no prefix stands in for a flag
     for name, fn in (
         ("prepare", cmd_prepare),
         ("train", cmd_train),
@@ -206,21 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("eval", cmd_eval),
         ("infer", cmd_infer),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output path (cache/model/report directory/image)")
-        if name in ("train", "trim"):
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--mode", help=f"{name} mode")
         if name in ("trim", "eval", "infer"):
             p.add_argument("--model", help="model file (overrides model_in)")
-        if name == "train":
-            p.add_argument("--depth", type=int, default=None)
         if name == "eval":
             p.add_argument("--mode", choices=["bicubic"], help="score the bicubic baseline instead of a model")
-        if name in ("prepare", "train", "eval"):
-            p.add_argument("--scale", type=int, default=None)
         if name == "infer":
             p.add_argument("input", nargs="?", help="input PGM image")
     return parser

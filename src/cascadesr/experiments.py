@@ -1,5 +1,7 @@
 """Desk-scale experiment protocol: small-corpus reruns of the training and
 trimming comparisons (cascade vs one-shot training, trimming strategies).
+Each training arm, trim-train included, is training.train with its
+TrainConfig.mode.
 
 Absolute benchmark numbers need tens of millions of training patches; this
 protocol checks the directional claims on a ~2,000-patch synthetic corpus in
@@ -43,7 +45,7 @@ def desk_corpus(out_dir: str, corpus_seed: int = 99):
     return manifest, patches
 
 
-def desk_train_config(seed: int, target_depth: int = 7, epoch_cap: int | None = None):
+def desk_train_config(seed: int, target_depth: int = 7, epoch_cap: int | None = None, mode: str = "cascade"):
     return training.TrainConfig(
         learning_rate=DESK_LEARNING_RATE,
         plateau_threshold=DESK_PLATEAU,
@@ -51,6 +53,7 @@ def desk_train_config(seed: int, target_depth: int = 7, epoch_cap: int | None = 
         batch_size=DESK_BATCH,
         max_epochs_per_stage=epoch_cap if epoch_cap is not None else DESK_STAGE_EPOCH_CAP,
         seed=seed,
+        mode=mode,
     )
 
 
@@ -75,7 +78,7 @@ def run_training_arms(patches: PatchSet, manifest: DatasetManifest, seed: int, w
     result = SeedResult(seed=seed)
     stem = os.path.join(workdir, f"casc-s{seed}")
     cfg = desk_train_config(seed)
-    net, logs = training.cascade_train(patches, cfg, checkpoint_stem=stem)
+    net, logs = training.train(patches, cfg, checkpoint_stem=stem)
     for log in logs:
         checkpoint = model.load_model(f"{stem}-d{log.depth}.ctsr")
         result.cascade_psnr[log.depth] = heldout_psnr(checkpoint, manifest)
@@ -85,8 +88,8 @@ def run_training_arms(patches: PatchSet, manifest: DatasetManifest, seed: int, w
             f"heldout {result.cascade_psnr[log.depth]:.2f} dB"
         )
     budget = result.cascade_epochs[3] + result.cascade_epochs[5]
-    os_cfg = desk_train_config(seed, target_depth=5, epoch_cap=budget)
-    os_net, os_log = training.one_shot_train(patches, os_cfg)
+    os_cfg = desk_train_config(seed, target_depth=5, epoch_cap=budget, mode="one_shot")
+    os_net, (os_log,) = training.train(patches, os_cfg)
     result.one_shot5_psnr = heldout_psnr(os_net, manifest)
     print(f"  seed {seed} one-shot d5: {os_log.epochs}/{budget} epochs, heldout {result.one_shot5_psnr:.2f} dB")
     return result
@@ -113,10 +116,8 @@ def run_trimming_arms(
     result.trim_psnr["one_shot"] = heldout_psnr(os_net, manifest)
     print(f"    one_shot fine-tune epochs: {os_log.epochs}")
 
-    tt_cfg = desk_train_config(
-        seed, target_depth=parent.depth, epoch_cap=total_budget // stages
-    )
-    tt_net, tt_logs = trimming.trim_train(patches, tt_cfg)
+    tt_cfg = desk_train_config(seed, target_depth=parent.depth, epoch_cap=total_budget // stages, mode="trim_train")
+    tt_net, tt_logs = training.train(patches, tt_cfg)
     result.trim_psnr["trim_train"] = heldout_psnr(tt_net, manifest)
     print(f"    trim_train stage epochs: {[l.epochs for l in tt_logs]}")
 

@@ -359,9 +359,13 @@ def load_model(path: str) -> NetworkModel:
         with open(sidecar) as fh:
             meta = json.load(fh)
         net.stage_history = [StageLog.from_dict(r) for r in meta.get("stage_history", [])]
+        specs = (meta["scale"], meta["layers"])
     except FileNotFoundError:
-        pass  # a bare binary loads with no history: the binary is authoritative
+        return net  # a bare binary loads with no history: the binary is authoritative
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"unreadable sidecar {sidecar}: {exc}") from exc
+    # save_model replaces the sidecar first: a save cut there leaves the new sidecar beside the old binary
+    if specs != (scale, [asdict(l.spec) for l in layers]):
+        raise ModelFormatError(f"sidecar {sidecar} describes another model than {path} (scale or layer specs differ)")
     return net
 

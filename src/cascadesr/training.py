@@ -1,10 +1,13 @@
-"""Staged (cascade) and single-phase training loops.
+"""One staged training loop behind the three training modes.
 
 Cascade training starts from the 3-layer base, trains until the per-epoch
 loss improvement falls under the plateau threshold, inserts two
 identity-initialized 3x3 layers before the last one (see
-model.insert_layers), and repeats until the target depth. The learning
-rate is one fixed constant for every step of every stage.
+model.insert_layers), and repeats until the target depth. The one-shot
+control builds the target depth at once and trains it as one stage;
+trim-train cascade-trains the halved architecture (32-16-...-16-1 filters)
+from scratch. The learning rate is one fixed constant for every step of
+every stage.
 
 Seed discipline: every random draw is derived from the master seed through
 namespaced child streams, so a run is reproducible byte-for-byte:
@@ -35,8 +38,11 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs_per_stage: int = 100
     seed: int = 0
+    mode: str = "cascade"
 
     def __post_init__(self):
+        if self.mode not in ("cascade", "one_shot", "trim_train"):
+            raise ValueError(f"train mode must be one of ['cascade', 'one_shot', 'trim_train'], got {self.mode!r}")
         if not (0 < self.plateau_threshold < 1):
             raise ValueError(f"plateau_threshold must be in (0, 1), got {self.plateau_threshold}")
         if self.target_depth < 3 or self.target_depth % 2 == 0:
@@ -156,9 +162,25 @@ def _train_stage(net, patches, cfg, stage, log_path=None):
     return net, log
 
 
-def _grow(net, rng, patches, cfg, log_dir, checkpoint_stem):
-    """Train stage after stage, inserting layers between stages, until
-    cfg.target_depth; log and checkpoint every stage."""
+def train(
+    patches: PatchSet,
+    cfg: TrainConfig,
+    log_dir: str | None = None,
+    checkpoint_stem: str | None = None,
+    scale: int = 2,
+):
+    """Train cfg.mode's start net stage by stage, inserting two layers between
+    stages, until cfg.target_depth: cascade grows the 3-layer base (64/32
+    filters), one_shot builds the target depth at once and trains one stage,
+    trim_train grows the halved base (32/16 filters).
+
+    Returns (net, stage logs). Writes a CSV log row per epoch and a model
+    checkpoint at every stage boundary when the optional paths are given.
+    """
+    rng = ops.RngState(cfg.seed)
+    depth = cfg.target_depth if cfg.mode == "one_shot" else 3
+    first_filters, mid_filters = (32, 16) if cfg.mode == "trim_train" else (64, 32)
+    net = build_network(depth, rng.child(1, 0), scale, first_filters, mid_filters)
     log_path = None
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
@@ -175,39 +197,3 @@ def _grow(net, rng, patches, cfg, log_dir, checkpoint_stem):
         stage += 1
         net = insert_layers(net, rng.child(1, stage))
     return net, list(net.stage_history)
-
-
-def cascade_train(
-    patches: PatchSet,
-    cfg: TrainConfig,
-    log_dir: str | None = None,
-    checkpoint_stem: str | None = None,
-    scale: int = 2,
-    first_filters: int = 64,
-    mid_filters: int = 32,
-):
-    """Grow from 3 layers to cfg.target_depth, training each stage to plateau.
-
-    Returns (net, stage logs). Writes a CSV log row per epoch and a model
-    checkpoint at every stage boundary when the optional paths are given.
-    """
-    rng = ops.RngState(cfg.seed)
-    net = build_network(3, rng.child(1, 0), scale=scale, first_filters=first_filters, mid_filters=mid_filters)
-    return _grow(net, rng, patches, cfg, log_dir, checkpoint_stem)
-
-
-def one_shot_train(
-    patches: PatchSet,
-    cfg: TrainConfig,
-    log_dir: str | None = None,
-    checkpoint_stem: str | None = None,
-    scale: int = 2,
-):
-    """Control arm: build cfg.target_depth at once and train a single stage.
-
-    Returns (net, the stage's log).
-    """
-    rng = ops.RngState(cfg.seed)
-    net = build_network(cfg.target_depth, rng.child(1, 0), scale=scale)
-    net, logs = _grow(net, rng, patches, cfg, log_dir, checkpoint_stem)
-    return net, logs[0]

@@ -1,5 +1,6 @@
-"""Structured filter removal: importance scoring, surgery, and the one-shot /
-cascade / trim-train pipelines.
+"""Structured filter removal: importance scoring, surgery, and the one-shot
+and cascade trimming pipelines (trim-train, the slim net grown from scratch,
+is training.train's trim_train mode).
 
 Removing output filter j from layer i deletes its kernel slab and bias and
 the matching input-channel slices of layer i+1, so both layers get cheaper.
@@ -19,7 +20,7 @@ import numpy as np
 from .data import PatchSet
 from .model import Layer, NetworkModel, StageLog, clone, param_count, save_model
 from .ops import RngState
-from .training import TrainConfig, _train_stage, cascade_train
+from .training import TrainConfig, _train_stage
 
 MODE_ONE_SHOT_INDEPENDENT = "one_shot_independent"
 MODE_CASCADE_TRIM = "cascade"
@@ -89,12 +90,15 @@ def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
 
     Stage n (from 1) removes floor(plan.rate * n_i) filters, picked by
     choose(current, stage, i, count), from each layer i of stages[n - 1], then
-    fine-tunes the whole network to plateau when patches and cfg are given,
-    appends the stage's log to the network's stage_history after the
-    training stages, and writes the -trimS{n} checkpoint.
+    fine-tunes the whole network to plateau when patches and cfg are given
+    (both or neither), appends the stage's log to the network's
+    stage_history after the training stages, and writes the -trimS{n}
+    checkpoint.
     """
     if plan.depth != net.depth:
         raise ValueError(f"plan is for depth {plan.depth}, the network has depth {net.depth}")
+    if (patches is None) != (cfg is None):
+        raise ValueError("fine-tuning needs both patches and cfg; give neither to trim without fine-tuning")
     current = clone(net)
     logs = []
     for stage, layers in enumerate(stages):
@@ -106,7 +110,7 @@ def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
             victims = choose(current, stage, i, count)
             current = trim_filters(current, i, victims)
             removed[i] = victims
-        if patches is None or cfg is None:
+        if cfg is None:
             log = StageLog(depth=current.depth)
         else:
             current, log = _train_stage(current, patches, cfg, FINETUNE_STAGE_BASE + stage)
@@ -174,22 +178,3 @@ def cascade_trim(
     stages = cascade_trim_pairs(net.depth)
     return _trim_stages(net, plan, stages, seeded_random, patches, cfg, checkpoint_stem)
 
-
-def trim_train(
-    patches: PatchSet,
-    cfg: TrainConfig,
-    log_dir: str | None = None,
-    checkpoint_stem: str | None = None,
-    scale: int = 2,
-):
-    """Slim-first alternative: cascade-train the halved architecture
-    (32-16-...-16-1 filters) from scratch to the target depth."""
-    return cascade_train(
-        patches,
-        cfg,
-        log_dir=log_dir,
-        checkpoint_stem=checkpoint_stem,
-        scale=scale,
-        first_filters=32,
-        mid_filters=16,
-    )

@@ -1,4 +1,8 @@
+import argparse
 import json
+import pathlib
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +53,14 @@ def rewrite(config_path, config):
     config_path.write_text(json.dumps(config))
 
 
+def exit_status(argv) -> int:
+    """cli.main's return value, or the parser's exit status when it refuses the arguments."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def empty_cache(workspace, capsys):
     """The workspace with a patch cache of 0 pairs: every train image is smaller than a patch."""
@@ -76,12 +88,17 @@ class TestPrepare:
 
     def test_config_scale_used_when_no_flag(self, workspace):
         tmp, config, config_path = workspace
-        assert cli.main(["prepare", "--config", str(config_path), "--scale", "3"]) == 0
-        flagged = (tmp / "train.ctpd").read_bytes()
-        config["scale"] = 3  # the manifest says x2
+        manifest = data.DatasetManifest.from_json(config["manifest"])
+        replace(manifest, scale=3).to_json(config["manifest"])
+        del config["scale"]
         rewrite(config_path, config)
         assert cli.main(["prepare", "--config", str(config_path)]) == 0
-        assert (tmp / "train.ctpd").read_bytes() == flagged
+        from_manifest = (tmp / "train.ctpd").read_bytes()
+        manifest.to_json(config["manifest"])  # back to x2
+        config["scale"] = 3
+        rewrite(config_path, config)
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        assert (tmp / "train.ctpd").read_bytes() == from_manifest
 
     def test_missing_image_names_path(self, workspace, capsys):
         tmp, config, config_path = workspace
@@ -118,10 +135,12 @@ class TestTrain:
         cli.main(["train", "--config", str(config_path)])
         assert (tmp / "out" / "model.ctsr").read_bytes() == first
 
-    def test_depth_flag_overrides(self, workspace):
+    def test_config_target_depth_used(self, workspace):
         tmp, config, config_path = workspace
+        config["train"]["target_depth"] = 5
+        rewrite(config_path, config)
         cli.main(["prepare", "--config", str(config_path)])
-        assert cli.main(["train", "--config", str(config_path), "--depth", "5"]) == 0
+        assert cli.main(["train", "--config", str(config_path)]) == 0
         net = model.load_model(str(tmp / "out" / "model.ctsr"))
         assert net.depth == 5
 
@@ -160,23 +179,36 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not (tmp / "out").exists()
 
-    @pytest.mark.parametrize("command", [["train"], ["train", "--mode", "trim_train"]], ids=["train", "trim_train"])
-    @pytest.mark.parametrize("config_scale, flag", [(-1, []), (0, []), (7, []), (2, ["--scale", "7"])],
-                             ids=["config-1", "config0", "config7", "flag7"])
-    def test_scale_out_of_range_rejected_before_patch_cache(self, workspace, capsys, command, config_scale, flag):
+    @pytest.mark.parametrize("mode", ["cascade", "trim_train"], ids=["train", "trim_train"])
+    @pytest.mark.parametrize(
+        "config_scale,flag,message",
+        [
+            (-1, [], "error: scale must be 2, 3 or 4, got -1"),
+            (0, [], "error: scale must be 2, 3 or 4, got 0"),
+            (7, [], "error: scale must be 2, 3 or 4, got 7"),
+            # a scale comes from the config only: the parser refuses one on the command line
+            (2, ["--scale", "7"], "cascadesr: error: unrecognized arguments: --scale 7"),
+        ],
+        ids=["config-1", "config0", "config7", "flag7"],
+    )
+    def test_scale_out_of_range_rejected_before_patch_cache(self, workspace, capsys, mode, config_scale, flag,
+                                                            message):
         tmp, config, config_path = workspace
         (tmp / "train.ctpd").write_bytes(b"not a patch cache")  # reading it would fail with another error
         config["scale"] = config_scale
+        config["train"]["mode"] = mode
         rewrite(config_path, config)
-        assert cli.main(command + flag + ["--config", str(config_path)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: scale must be 2, 3 or 4, got ")
+        assert exit_status(["train", "--config", str(config_path)] + flag) == (2 if flag else 1)
+        err = [line for line in capsys.readouterr().err.strip().splitlines() if not line.startswith("usage:")]
+        assert err == [message]
         assert not (tmp / "out").exists()
 
-    @pytest.mark.parametrize("mode", [[], ["--mode", "trim_train"]], ids=["cascade", "trim_train"])
+    @pytest.mark.parametrize("mode", ["cascade", "trim_train"])
     def test_empty_patch_cache_rejected(self, empty_cache, capsys, mode):
         tmp, config, config_path = empty_cache
-        assert cli.main(["train", "--config", str(config_path)] + mode) == 1
+        config["train"]["mode"] = mode
+        rewrite(config_path, config)
+        assert cli.main(["train", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "empty patch set" in err[0]
         assert not list(tmp.rglob("*.ctsr"))
@@ -191,11 +223,13 @@ class TestTrain:
 
     def test_unknown_train_mode_rejected(self, workspace, capsys):
         tmp, config, config_path = workspace
+        (tmp / "train.ctpd").write_bytes(b"not a patch cache")  # reading it would fail with another error
         config["train"]["mode"] = "sideways"
         rewrite(config_path, config)
-        cli.main(["prepare", "--config", str(config_path)])
         assert cli.main(["train", "--config", str(config_path)]) == 1
-        assert "sideways" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: train mode must be one of") and "'sideways'" in err[0]
+        assert not (tmp / "out").exists()
 
 
 class TestTrim:
@@ -244,10 +278,11 @@ class TestTrim:
         tmp, config, config_path = workspace
         config["scale"] = 3
         config["model_out"] = str(tmp / "out" / "slim.ctsr")
+        config["train"]["mode"] = "trim_train"
         rewrite(config_path, config)
         cli.main(["prepare", "--config", str(config_path)])
         assert "model_in" not in config
-        assert cli.main(["train", "--mode", "trim_train", "--config", str(config_path)]) == 0
+        assert cli.main(["train", "--config", str(config_path)]) == 0
         net = model.load_model(config["model_out"])
         assert net.scale == 3
         assert net.filter_counts() == [32] + [16] * 5 + [1]
@@ -255,11 +290,14 @@ class TestTrim:
     @pytest.mark.parametrize(
         "argv,trim,message",
         [
-            (["--mode", "trim_train"], {}, "trim mode must be one of ['cascade', 'one_shot_independent'], got 'trim_train'"),
-            (["--mode", "one_shot_greedy"], {}, "got 'one_shot_greedy'"),
-            ([], {"mode": "one_shot_greedy"}, "got 'one_shot_greedy'"),
-            ([], {"seed": 3}, "unknown trim config keys: ['seed']"),
-            ([], {"rates": [0.5, 0.0]}, "unknown trim config keys: ['rates']"),
+            ([], {"mode": "trim_train"},
+             "error: trim mode must be one of ['cascade', 'one_shot_independent'], got 'trim_train'"),
+            # a trim mode comes from the config only: the parser refuses one on the command line
+            (["--mode", "one_shot_greedy"], {}, "cascadesr: error: unrecognized arguments: --mode one_shot_greedy"),
+            ([], {"mode": "one_shot_greedy"},
+             "error: trim mode must be one of ['cascade', 'one_shot_independent'], got 'one_shot_greedy'"),
+            ([], {"seed": 3}, "error: unknown trim config keys: ['seed']"),
+            ([], {"rates": [0.5, 0.0]}, "error: unknown trim config keys: ['rates']"),
         ],
         ids=["mode_trim_train", "mode_greedy", "config_mode_greedy", "trim_seed", "trim_rates"],
     )
@@ -269,20 +307,21 @@ class TestTrim:
         config["model_in"] = str(tmp / "absent.ctsr")
         config["trim"] = trim
         rewrite(config_path, config)
-        assert cli.main(["trim", "--config", str(config_path)] + argv) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert exit_status(["trim", "--config", str(config_path)] + argv) == (2 if argv else 1)
+        err = [line for line in capsys.readouterr().err.strip().splitlines() if not line.startswith("usage:")]
+        assert err == [message]
         assert not (tmp / "out").exists()
 
-    def test_seed_without_fine_tuning_rejected_before_model(self, workspace, capsys):
+    def test_bad_train_section_rejected_before_model_and_patch_cache(self, workspace, capsys):
+        # fine-tuning reads the train section, so trim checks it before any work
         tmp, config, config_path = workspace
-        del config["patches"]
-        config["model_in"] = str(tmp / "absent.ctsr")  # reading it would fail with another error
-        config["trim"] = {"mode": "one_shot_independent"}
+        (tmp / "train.ctpd").write_bytes(b"not a patch cache")  # reading it would fail with another error
+        config["model_in"] = str(tmp / "absent.ctsr")
+        config["train"]["mode"] = "sideways"
         rewrite(config_path, config)
-        assert cli.main(["trim", "--config", str(config_path), "--seed", "1"]) == 1
+        assert cli.main(["trim", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: --seed has no effect") and "absent" not in err[0]
+        assert len(err) == 1 and err[0].startswith("error: train mode must be one of") and "'sideways'" in err[0]
         assert not (tmp / "out").exists()
 
     def test_empty_patch_cache_rejected(self, empty_cache, capsys):
@@ -326,6 +365,44 @@ class TestFlags:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "--scale", "3"],
+            ["train", "--seed", "1"],
+            ["train", "--mode", "one_shot"],
+            ["train", "--depth", "5"],
+            ["train", "--scale", "3"],
+            ["trim", "--seed", "1"],
+            ["trim", "--mode", "cascade"],
+            ["eval", "--scale", "3"],
+        ],
+        ids=lambda argv: "".join(argv[:2]),
+    )
+    def test_run_parameter_flag_rejected(self, workspace, capsys, argv):
+        # run parameters come from the config only
+        tmp, config, config_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(config_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = {}
+        for line in readme.split("\n## CLI\n", 1)[1].splitlines():
+            cells = line.split("|")[1:-1]
+            if len(cells) == 2 and cells[0].strip().startswith("`"):
+                table[cells[0].strip(" `")] = [code.split()[0] for code in re.findall(r"`([^`]+)`", cells[1])]
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        options = {
+            name: [a.option_strings[0] if a.option_strings else a.dest for a in p._actions if a.dest != "help"]
+            for name, p in commands.items()
+        }
+        assert table == options
+        assert sum(len(v) for v in options.values()) == 15
+
 
 class TestEvalInfer:
     def test_bicubic_eval_writes_reports(self, workspace, capsys):
@@ -339,8 +416,10 @@ class TestEvalInfer:
 
     def test_infer_33_to_17(self, workspace, capsys):
         tmp, config, config_path = workspace
+        config["train"]["target_depth"] = 3
+        rewrite(config_path, config)
         cli.main(["prepare", "--config", str(config_path)])
-        cli.main(["train", "--config", str(config_path), "--depth", "3"])
+        cli.main(["train", "--config", str(config_path)])
         lr_img = synthetic_image(np.random.default_rng(1), 33, 33)
         src = tmp / "in.pgm"
         data.save_image(lr_img, str(src))
@@ -354,8 +433,10 @@ class TestEvalInfer:
 
     def test_eval_model_path(self, workspace):
         tmp, config, config_path = workspace
+        config["train"]["target_depth"] = 3
+        rewrite(config_path, config)
         cli.main(["prepare", "--config", str(config_path)])
-        cli.main(["train", "--config", str(config_path), "--depth", "3"])
+        cli.main(["train", "--config", str(config_path)])
         assert cli.main(["eval", "--config", str(config_path), "--model", config["model_out"]]) == 0
         assert not list((tmp / "logs").glob("eval_*.csv"))
         report = json.loads((tmp / "logs" / "eval_net-d3.json").read_text())

@@ -278,6 +278,19 @@ class TestSerialization:
         with pytest.raises(model.ModelFormatError, match="m.json"):
             model.load_model(str(p))
 
+    @pytest.mark.parametrize("depth,scale", [(5, 2), (3, 3)], ids=["d5", "x3"])
+    def test_foreign_sidecar_rejected(self, base_net, tmp_path, depth, scale):
+        # loading it would hand the d3 x2 weights another model's stage_history, which trim then extends
+        other = model.build_network(depth, ops.RngState(1), scale=scale)
+        other.stage_history.append(model.StageLog(depth, [0.002], "plateau", {}, model.param_count(other)))
+        model.save_model(other, str(tmp_path / "other.ctsr"))
+        model.save_model(base_net, str(tmp_path / "m.ctsr"))
+        foreign = (tmp_path / "other.json").read_bytes()
+        (tmp_path / "m.json").write_bytes(foreign)
+        with pytest.raises(model.ModelFormatError, match="m.json"):
+            model.load_model(str(tmp_path / "m.ctsr"))
+        assert (tmp_path / "m.json").read_bytes() == foreign
+
     def test_missing_sidecar_loads_with_no_history(self, base_net, tmp_path):
         p = tmp_path / "m.ctsr"
         base_net.stage_history.append(model.StageLog(3, [0.002], "plateau", {}, 57_184))

@@ -61,6 +61,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             training.TrainConfig(learning_rate=-1e-4)
 
+    def test_mode_validated(self):
+        assert training.TrainConfig().mode == "cascade"
+        with pytest.raises(ValueError, match="'sideways'"):
+            training.TrainConfig(mode="sideways")
+
 
 class TestRunEpoch:
     def test_zero_learning_rate_leaves_weights(self):
@@ -179,7 +184,7 @@ class TestCascadeTrain:
     def test_stage_depths_and_logs(self):
         patches = make_patchset()
         cfg = quick_cfg(target_depth=7)
-        net, logs = training.cascade_train(patches, cfg)
+        net, logs = training.train(patches, cfg)
         assert [log.depth for log in logs] == [3, 5, 7]
         assert net.depth == 7
         assert [r.depth for r in net.stage_history] == [3, 5, 7]
@@ -187,14 +192,14 @@ class TestCascadeTrain:
     def test_final_param_count_at_depth(self):
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=7, max_epochs_per_stage=1)
-        net, _ = training.cascade_train(patches, cfg)
+        net, _ = training.train(patches, cfg)
         assert model.param_count(net) == 94_048
 
     def test_reproducible_bytes(self, tmp_path):
         blobs = []
         for i in range(2):
             patches = make_patchset()
-            net, _ = training.cascade_train(patches, quick_cfg(target_depth=5))
+            net, _ = training.train(patches, quick_cfg(target_depth=5))
             p = tmp_path / f"{i}.ctsr"
             model.save_model(net, str(p))
             blobs.append(p.read_bytes())
@@ -203,7 +208,7 @@ class TestCascadeTrain:
     def test_inherited_weights_preserved_through_insertion(self):
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=3, max_epochs_per_stage=2)
-        net3, _ = training.cascade_train(patches, cfg)
+        net3, _ = training.train(patches, cfg)
         frozen = [l.weights.copy() for l in net3.layers]
         grown = model.insert_layers(net3, ops.RngState(cfg.seed).child(1, 1), how_many=2)
         for keep, old in zip([grown.layers[0], grown.layers[1], grown.layers[-1]], frozen):
@@ -220,14 +225,14 @@ class TestCascadeTrain:
         monkeypatch.setattr(training.ops, "sgd_step", spy)
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=5, learning_rate=0.0125, max_epochs_per_stage=2)
-        training.cascade_train(patches, cfg)
+        training.train(patches, cfg)
         assert seen and all(lr == 0.0125 for lr in seen)
 
     def test_csv_log_and_checkpoints(self, tmp_path):
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=7, max_epochs_per_stage=1)
         stem = str(tmp_path / "run")
-        training.cascade_train(patches, cfg, log_dir=str(tmp_path), checkpoint_stem=stem)
+        training.train(patches, cfg, log_dir=str(tmp_path), checkpoint_stem=stem)
         for d in (3, 5, 7):
             assert (tmp_path / f"run-d{d}.ctsr").exists()
         lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
@@ -245,15 +250,15 @@ class TestCascadeTrain:
 
         monkeypatch.setattr(training, "run_epoch", spy)
         cfg = quick_cfg(target_depth=5, max_epochs_per_stage=2)
-        training.cascade_train(make_patchset(n=16), cfg, log_dir=str(tmp_path))
+        training.train(make_patchset(n=16), cfg, log_dir=str(tmp_path))
         # the header, then one more row as each epoch ends, across the stage boundary too
         assert lines_seen == [1, 2, 3, 4]
         assert len(log.read_text().splitlines()) == 5
 
     def test_log_holds_one_run(self, tmp_path):
         patches = make_patchset(n=16)
-        training.cascade_train(patches, quick_cfg(target_depth=5, max_epochs_per_stage=1), log_dir=str(tmp_path))
-        training.cascade_train(patches, quick_cfg(target_depth=3, max_epochs_per_stage=2), log_dir=str(tmp_path))
+        training.train(patches, quick_cfg(target_depth=5, max_epochs_per_stage=1), log_dir=str(tmp_path))
+        training.train(patches, quick_cfg(target_depth=3, max_epochs_per_stage=2), log_dir=str(tmp_path))
         lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
         assert lines[0] == "stage_index,depth,epoch,mean_loss,wall_seconds"
         assert [line.split(",")[:3] for line in lines[1:]] == [["0", "3", "0"], ["0", "3", "1"]]
@@ -262,8 +267,8 @@ class TestCascadeTrain:
 class TestOneShotTrain:
     def test_architecture_matches_cascade(self):
         patches = make_patchset(n=8)
-        cfg = quick_cfg(max_epochs_per_stage=0, target_depth=5)
-        net, log = training.one_shot_train(patches, cfg)
+        cfg = quick_cfg(max_epochs_per_stage=0, target_depth=5, mode="one_shot")
+        net, (log,) = training.train(patches, cfg)
         assert model.param_count(net) == 75_616
         cascade_specs = [l.spec for l in model.build_network(5, ops.RngState(0)).layers]
         assert [l.spec for l in net.layers] == cascade_specs
@@ -271,8 +276,8 @@ class TestOneShotTrain:
 
     def test_zero_max_epochs_returns_initialized_net(self):
         patches = make_patchset(n=8)
-        cfg = quick_cfg(max_epochs_per_stage=0)
-        net, _ = training.one_shot_train(patches, cfg)
+        cfg = quick_cfg(max_epochs_per_stage=0, mode="one_shot")
+        net, _ = training.train(patches, cfg)
         fresh = model.build_network(3, ops.RngState(cfg.seed).child(1, 0))
         for a, b in zip(net.layers, fresh.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
@@ -283,14 +288,14 @@ class TestStageTermination:
         # lr=0 gives identical losses each epoch -> plateau on epoch 2
         patches = make_patchset(n=8)
         cfg = quick_cfg(learning_rate=0.0, max_epochs_per_stage=10)
-        _, logs = training.cascade_train(patches, cfg)
+        _, logs = training.train(patches, cfg)
         assert logs[0].epochs == 2
         assert logs[0].terminated_by == "plateau"
 
     def test_max_epochs_termination_labelled(self):
         patches = make_patchset(n=8)
         cfg = quick_cfg(max_epochs_per_stage=1)
-        _, logs = training.cascade_train(patches, cfg)
+        _, logs = training.train(patches, cfg)
         assert logs[0].terminated_by == "max_epochs"
 
     def test_perfect_fit_ends_as_plateau(self):
@@ -298,7 +303,7 @@ class TestStageTermination:
         patches = make_patchset(n=8)
         patches.lr[:] = 0
         patches.hr[:] = 0
-        _, logs = training.cascade_train(patches, quick_cfg(target_depth=5, max_epochs_per_stage=4))
+        _, logs = training.train(patches, quick_cfg(target_depth=5, max_epochs_per_stage=4))
         assert [(log.losses, log.terminated_by) for log in logs] == [([0.0, 0.0], "plateau")] * 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -306,5 +311,5 @@ class TestStageTermination:
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=5, learning_rate=50.0, batch_size=4, max_epochs_per_stage=5)
         with pytest.raises(training.NonFiniteLossError, match="depth 3, stage 0, epoch 1"):
-            training.cascade_train(patches, cfg, checkpoint_stem=str(tmp_path / "run"))
+            training.train(patches, cfg, checkpoint_stem=str(tmp_path / "run"))
         assert not list(tmp_path.glob("run-d*.ctsr"))

@@ -293,9 +293,9 @@ class TestTrimTrain:
     def test_final_architecture_matches_cascade_trim(self, net13):
         cfg = training.TrainConfig(
             learning_rate=0.01, plateau_threshold=0.5, target_depth=13, batch_size=8,
-            max_epochs_per_stage=0, seed=2,
+            max_epochs_per_stage=0, seed=2, mode="trim_train",
         )
-        net, _ = trimming.trim_train(tiny_patches(), cfg)
+        net, _ = training.train(tiny_patches(), cfg)
         reference, _ = trimming.cascade_trim(
             net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
         )
@@ -318,3 +318,16 @@ class TestTrimPlan:
             trimming.cascade_trim(net13, None, None, trimming.TrimPlan(11, trimming.MODE_CASCADE_TRIM))
         with pytest.raises(ValueError, match="depth 11"):
             trimming.one_shot_trim(net13, trimming.TrimPlan(11, trimming.MODE_ONE_SHOT_INDEPENDENT))
+
+    @pytest.mark.parametrize("given", ["patches", "cfg"])
+    @pytest.mark.parametrize("mode", [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT])
+    def test_fine_tuning_needs_patches_and_cfg(self, net13, given, mode):
+        # one of the two alone would leave the net untuned, with 0-epoch stage logs
+        patches = tiny_patches() if given == "patches" else None
+        cfg = training.TrainConfig(target_depth=13) if given == "cfg" else None
+        plan = trimming.TrimPlan(13, mode)
+        with pytest.raises(ValueError, match="both patches and cfg"):
+            if mode == trimming.MODE_CASCADE_TRIM:
+                trimming.cascade_trim(net13, patches, cfg, plan)
+            else:
+                trimming.one_shot_trim(net13, plan, patches, cfg)
