@@ -6,10 +6,12 @@ outputs, and print their sha256.
 
 Trains and trims on a small synthetic corpus with fixed seeds and writes 28
 files under OUT_DIR: the patch cache (.ctpd); the cascade d3/d5/d7, one-shot
-d5 and trim-train d3/d5/d7 checkpoints; every stage of cascade trimming and
-of one-shot trimming, each with and without fine-tuning; and the outputs of
-the CLI commands prepare, train (modes cascade, one_shot and trim_train)
-and trim (cascade). Beside them it writes
+d5 and trim-train d3/d5/d7 checkpoints; every stage of trimming.trim in
+its cascade and one-shot modes, each with and without fine-tuning; and the
+outputs of the CLI commands prepare, train (modes cascade, one_shot and
+trim_train) and trim (cascade). The CLI configs name the x3 corpus manifest
+and no top-level scale, so the CLI models take the manifest's scale. Beside
+them it writes
 20 inference outputs as .npy: model.forward of a He-scaled d7 and a
 cascade-trimmed He-scaled d13 at batch 1 and 2, on a 512-px input, a tall
 narrow one (13,146 x 20) and a short wide one (48 x 2,100) that crosses
@@ -50,10 +52,10 @@ def library_artifacts(out: str, patches: data.PatchSet):
                    checkpoint_stem=f"{out}/one_shot")
     training.train(patches, replace(cfg, mode="trim_train"), checkpoint_stem=f"{out}/trim_train")
     for tuned, fine, fine_cfg in (("", None, None), ("_ft", patches, cfg)):
-        trimming.cascade_trim(d7, fine, fine_cfg, trimming.default_plan(7, trimming.MODE_CASCADE_TRIM, seed=SEED),
-                              checkpoint_stem=f"{out}/cascade_trim{tuned}")
-        trimming.one_shot_trim(d7, trimming.default_plan(7, trimming.MODE_ONE_SHOT_INDEPENDENT), fine, fine_cfg,
-                               checkpoint_stem=f"{out}/{trimming.MODE_ONE_SHOT_INDEPENDENT}{tuned}")
+        trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(7, trimming.MODE_CASCADE_TRIM, seed=SEED),
+                      checkpoint_stem=f"{out}/cascade_trim{tuned}")
+        trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(7, trimming.MODE_ONE_SHOT_INDEPENDENT),
+                      checkpoint_stem=f"{out}/{trimming.MODE_ONE_SHOT_INDEPENDENT}{tuned}")
 
 
 def cli_artifacts(out: str, manifest: str):
@@ -98,7 +100,7 @@ def inference_outputs(out: str):
     gen = np.random.default_rng(SEED)
     d7 = he_scaled(model.build_network(7, ops.RngState(SEED)), gen)
     d13 = he_scaled(model.build_network(13, ops.RngState(SEED)), gen)
-    trim13, _ = trimming.cascade_trim(d13, None, None, trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=SEED))
+    trim13, _ = trimming.trim(d13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=SEED))
     # fixed shapes, so the inputs do not depend on model.BAND_BUDGET; the wide
     # input has its own generator, so adding it moved no other draw
     inputs = {"square": gen.random((2, 1, 512, 512), np.float32),

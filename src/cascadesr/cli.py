@@ -96,6 +96,8 @@ def cmd_prepare(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     tc = _train_config(cfg)
+    # the config's scale, else that of the manifest it names, else 2
+    scale = _manifest(cfg, "train").scale if cfg.get("manifest") else cfg.get("scale", 2)
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
@@ -103,7 +105,7 @@ def cmd_train(cfg: dict, args) -> int:
     os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
     stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
     log_dir = cfg.get("log_dir")
-    net, _ = train(patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=cfg.get("scale", 2))
+    net, _ = train(patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
     save_model(net, model_out)
     print(f"trained depth {net.depth}, {param_count(net)} parameters -> {model_out}")
     return 0
@@ -112,9 +114,8 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_trim(cfg: dict, args) -> int:
     section = cfg.get("trim", {})
     mode = section.get("mode", trimming.MODE_CASCADE_TRIM)
-    modes = [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT]
-    if mode not in modes:
-        raise ConfigError(f"trim mode must be one of {modes}, got {mode!r}")
+    if mode not in trimming.MODES:
+        raise ConfigError(f"trim mode must be one of {trimming.MODES}, got {mode!r}")
     train_cfg = _train_config(cfg) if cfg.get("patches") else None
     model_in = args.model or _require(cfg, "model_in", "trim")
     _check_exists(model_in, "model")
@@ -128,8 +129,7 @@ def cmd_trim(cfg: dict, args) -> int:
     parent = load_model(model_in)
     plan = trimming.TrimPlan(parent.depth, mode, section.get("rate", 0.5), cfg.get("seed", 0))
     # looked up at call time, so a patched module attribute is the one called
-    trim = trimming.cascade_trim if mode == trimming.MODE_CASCADE_TRIM else trimming.one_shot_trim
-    net, _ = trim(parent, plan=plan, patches=patches, cfg=train_cfg, checkpoint_stem=stem)
+    net, _ = trimming.trim(parent, patches, train_cfg, plan, checkpoint_stem=stem)
     save_model(net, model_out)
     print(f"trimmed to {param_count(net)} parameters -> {model_out}")
     return 0
@@ -192,10 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output path (cache/model/report directory/image)")
+        # eval scores either a model or the bicubic baseline, so it refuses both flags together
+        model_or_mode = p.add_mutually_exclusive_group() if name == "eval" else p
         if name in ("trim", "eval", "infer"):
-            p.add_argument("--model", help="model file (overrides model_in)")
+            model_or_mode.add_argument("--model", help="model file (overrides model_in)")
         if name == "eval":
-            p.add_argument("--mode", choices=["bicubic"], help="score the bicubic baseline instead of a model")
+            model_or_mode.add_argument("--mode", choices=["bicubic"],
+                                       help="score the bicubic baseline instead of a model")
         if name == "infer":
             p.add_argument("input", nargs="?", help="input PGM image")
     return parser

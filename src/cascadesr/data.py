@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -220,13 +220,8 @@ class DatasetManifest:
         return DatasetManifest(images=images, scale=raw.get("scale", 2), patch=patch)
 
     def to_json(self, path: str) -> None:
-        doc = {
-            "scale": self.scale,
-            "patch": {"lr_size": self.patch.lr_size, "stride": self.patch.stride, "hr_size": self.patch.hr_size},
-            "images": [{"path": e.path, "role": e.role} for e in self.images],
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -106,13 +106,13 @@ def run_trimming_arms(
 
     ft_cfg = desk_train_config(seed, epoch_cap=DESK_FINETUNE_EPOCH_CAP)
     plan = trimming.TrimPlan(parent.depth, trimming.MODE_CASCADE_TRIM, seed=seed)
-    casc_net, casc_logs = trimming.cascade_trim(parent, patches, ft_cfg, plan)
+    casc_net, casc_logs = trimming.trim(parent, patches, ft_cfg, plan)
     result.trim_psnr["cascade_trim"] = heldout_psnr(casc_net, manifest)
     print(f"    cascade_trim fine-tune epochs per stage: {[l.epochs for l in casc_logs]}")
 
     os_cfg = desk_train_config(seed, epoch_cap=total_budget)
     os_plan = trimming.TrimPlan(parent.depth, trimming.MODE_ONE_SHOT_INDEPENDENT, seed=seed)
-    os_net, os_log = trimming.one_shot_trim(parent, os_plan, patches, os_cfg)
+    os_net, (os_log,) = trimming.trim(parent, patches, os_cfg, os_plan)
     result.trim_psnr["one_shot"] = heldout_psnr(os_net, manifest)
     print(f"    one_shot fine-tune epochs: {os_log.epochs}")
 

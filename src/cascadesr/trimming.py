@@ -1,13 +1,14 @@
-"""Structured filter removal: importance scoring, surgery, and the one-shot
-and cascade trimming pipelines (trim-train, the slim net grown from scratch,
-is training.train's trim_train mode).
+"""Structured filter removal: importance scoring, surgery, and `trim`, one
+stage loop for both trimming schedules (trim-train, the slim net grown from
+scratch, is training.train's trim_train mode).
 
 Removing output filter j from layer i deletes its kernel slab and bias and
 the matching input-channel slices of layer i+1, so both layers get cheaper.
-One-shot trimming removes the lowest-importance filters from every layer at
-once and fine-tunes; cascade trimming removes a random half from two adjacent
-layers per stage, fine-tuning the whole network between stages, starting from
-the deepest trimmable pair (the single-filter output layer is never trimmed).
+TrimPlan.mode picks the schedule: one-shot trimming removes the
+lowest-importance filters from every layer in one stage; cascade trimming
+removes a random share from two adjacent layers per stage, starting from the
+deepest trimmable pair (the single-filter output layer is never trimmed).
+Every stage fine-tunes the whole network.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .model import Layer, NetworkModel, StageLog, clone, param_count, save_model
 from .ops import RngState
 from .training import TrainConfig, _train_stage
 
-MODE_ONE_SHOT_INDEPENDENT = "one_shot_independent"
-MODE_CASCADE_TRIM = "cascade"
+MODES = ["cascade", "one_shot_independent"]
+MODE_CASCADE_TRIM, MODE_ONE_SHOT_INDEPENDENT = MODES
 
 # fine-tune epochs draw shuffles from stage keys offset far above training stages
 FINETUNE_STAGE_BASE = 1000
@@ -39,13 +40,13 @@ class TrimPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (MODE_ONE_SHOT_INDEPENDENT, MODE_CASCADE_TRIM):
-            raise ValueError(f"unknown trim mode {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"trim mode must be one of {MODES}, got {self.mode!r}")
         if not 0 <= self.rate < 1:
             raise ValueError(f"trim rate must lie in [0, 1), got {self.rate}")
 
 
-default_plan = TrimPlan  # the older name, which perfbench and the digest script still call
+default_plan = TrimPlan  # the older name, which perfbench still calls
 
 
 def importance_scores(net: NetworkModel, layer_index: int) -> np.ndarray:
@@ -85,31 +86,57 @@ def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> Network
     return out.validate()
 
 
-def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
-    """Stage loop shared by one-shot and cascade trimming.
+def cascade_trim_pairs(depth: int) -> list[tuple[int, int]]:
+    """Stage-ordered trimmed layer pairs, deepest first (0-based indices)."""
+    pairs = []
+    hi = depth - 2
+    while hi >= 1:
+        pairs.append((hi - 1, hi))
+        hi -= 2
+    return pairs
 
-    Stage n (from 1) removes floor(plan.rate * n_i) filters, picked by
-    choose(current, stage, i, count), from each layer i of stages[n - 1], then
-    fine-tunes the whole network to plateau when patches and cfg are given
-    (both or neither), appends the stage's log to the network's
+
+def trim(
+    net: NetworkModel,
+    patches: PatchSet | None,
+    cfg: TrainConfig | None,
+    plan: TrimPlan,
+    checkpoint_stem: str | None = None,
+):
+    """Trim the network in plan.mode's stages, fine-tuning between them.
+
+    One-shot is one stage over layers 0..depth-2 that removes each layer's
+    lowest-importance filters, every layer scored on the untrimmed network,
+    ties broken toward the lower filter index. Cascade runs the
+    cascade_trim_pairs stages and removes a seeded random choice. Stage n
+    (from 1) removes floor(plan.rate * n_i) filters from each layer i it
+    trims, then fine-tunes the whole network to plateau when patches and cfg
+    are given (both or neither), appends the stage's log to the network's
     stage_history after the training stages, and writes the -trimS{n}
-    checkpoint.
+    checkpoint. Returns (net, stage logs).
     """
     if plan.depth != net.depth:
         raise ValueError(f"plan is for depth {plan.depth}, the network has depth {net.depth}")
     if (patches is None) != (cfg is None):
         raise ValueError("fine-tuning needs both patches and cfg; give neither to trim without fine-tuning")
+    one_shot = plan.mode == MODE_ONE_SHOT_INDEPENDENT
+    stages = [range(net.depth - 1)] if one_shot else cascade_trim_pairs(net.depth)
+    rng = RngState(plan.seed)
     current = clone(net)
     logs = []
     for stage, layers in enumerate(stages):
         removed: dict[int, list[int]] = {}
         for i in layers:
-            count = math.floor(plan.rate * current.layers[i].spec.out_filters)
+            n = current.layers[i].spec.out_filters
+            count = math.floor(plan.rate * n)
             if count == 0:
                 continue
-            victims = choose(current, stage, i, count)
-            current = trim_filters(current, i, victims)
-            removed[i] = victims
+            if one_shot:
+                victims = np.argsort(importance_scores(net, i), kind="stable")[:count]
+            else:
+                victims = rng.child(3, stage, i).choice(n, size=count, replace=False)
+            removed[i] = sorted(victims.tolist())
+            current = trim_filters(current, i, removed[i])
         if cfg is None:
             log = StageLog(depth=current.depth)
         else:
@@ -123,58 +150,4 @@ def _trim_stages(net, plan, stages, choose, patches, cfg, checkpoint_stem):
     return current, logs
 
 
-def one_shot_trim(
-    net: NetworkModel,
-    plan: TrimPlan,
-    patches: PatchSet | None = None,
-    cfg: TrainConfig | None = None,
-    checkpoint_stem: str | None = None,
-):
-    """Trim every layer at once by importance score, then fine-tune.
-
-    Filter counts come from the original layer widths: floor(plan.rate * n_i)
-    lowest-scoring filters go, ties broken toward the lower filter index,
-    every layer scored on the untrimmed network. Returns (net, the one
-    stage's log).
-    """
-    if plan.mode != MODE_ONE_SHOT_INDEPENDENT:
-        raise ValueError(f"one_shot_trim needs a one-shot plan, got mode {plan.mode!r}")
-
-    def lowest_importance(current, stage, i, count):
-        return sorted(np.argsort(importance_scores(net, i), kind="stable")[:count].tolist())
-
-    stages = [range(net.depth - 1)]
-    current, logs = _trim_stages(net, plan, stages, lowest_importance, patches, cfg, checkpoint_stem)
-    return current, logs[0]
-
-
-def cascade_trim_pairs(depth: int) -> list[tuple[int, int]]:
-    """Stage-ordered trimmed layer pairs, deepest first (0-based indices)."""
-    pairs = []
-    hi = depth - 2
-    while hi >= 1:
-        pairs.append((hi - 1, hi))
-        hi -= 2
-    return pairs
-
-
-def cascade_trim(
-    net: NetworkModel,
-    patches: PatchSet | None,
-    cfg: TrainConfig | None,
-    plan: TrimPlan,
-    checkpoint_stem: str | None = None,
-):
-    """Stagewise trimming: random half of two adjacent layers per stage,
-    whole-network fine-tune to plateau between stages."""
-    if plan.mode != MODE_CASCADE_TRIM:
-        raise ValueError(f"cascade_trim needs a cascade plan, got mode {plan.mode!r}")
-    rng = RngState(plan.seed)
-
-    def seeded_random(current, stage, i, count):
-        n = current.layers[i].spec.out_filters
-        return sorted(rng.child(3, stage, i).choice(n, size=count, replace=False).tolist())
-
-    stages = cascade_trim_pairs(net.depth)
-    return _trim_stages(net, plan, stages, seeded_random, patches, cfg, checkpoint_stem)
-
+cascade_trim = trim  # the older name, which perfbench calls and traces

@@ -62,7 +62,7 @@ class TestCriterion1ParamCounts:
             grown.append(model.param_count(net))
         net13 = model.build_network(13, ops.RngState(3))
         plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=4)
-        _, logs = trimming.cascade_trim(net13, None, None, plan)
+        _, logs = trimming.trim(net13, None, None, plan)
         trim_counts = [log.param_count_after for log in logs[:4]]
         ok = built == TABLE1 and grown == TABLE1 and trim_counts == TABLE4_S1_S4
         report(
@@ -232,7 +232,7 @@ class TestCriterion8Efficiency:
     def test_trimmed_is_faster_and_multiplies_fall(self):
         net13 = model.build_network(13, ops.RngState(5))
         plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=6)
-        trimmed, _ = trimming.cascade_trim(net13, None, None, plan)
+        trimmed, _ = trimming.trim(net13, None, None, plan)
         x = np.random.default_rng(0).random((1, 1, 180, 180), dtype=np.float32)
 
         def best_time(net):

@@ -213,6 +213,17 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:") and "empty patch set" in err[0]
         assert not list(tmp.rglob("*.ctsr"))
 
+    def test_manifest_scale_used_when_config_names_none(self, workspace):
+        tmp, config, config_path = workspace
+        manifest = data.DatasetManifest.from_json(config["manifest"])
+        replace(manifest, scale=3).to_json(config["manifest"])
+        del config["scale"]
+        config["train"]["target_depth"] = 3
+        rewrite(config_path, config)
+        assert cli.main(["prepare", "--config", str(config_path)]) == 0
+        assert cli.main(["train", "--config", str(config_path)]) == 0
+        assert model.load_model(config["model_out"]).scale == 3
+
     def test_bad_config_invariant_rejected(self, workspace, capsys):
         tmp, config, config_path = workspace
         config["train"]["target_depth"] = 4
@@ -345,7 +356,7 @@ class TestTrim:
         parent = model.load_model(config["model_in"])
         import cascadesr.trimming as trimming
 
-        out, _ = trimming.one_shot_trim(parent, trimming.TrimPlan(parent.depth, "one_shot_independent", 0.0))
+        out, _ = trimming.trim(parent, None, None, trimming.TrimPlan(parent.depth, "one_shot_independent", 0.0))
         assert [l.weights.tobytes() for l in out.layers] == [l.weights.tobytes() for l in parent.layers]
 
 
@@ -364,6 +375,14 @@ class TestFlags:
             cli.main(argv + ["--config", str(config_path)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_eval_refuses_model_with_bicubic_mode(self, workspace, capsys):
+        # the bicubic baseline reads no model, so naming one is refused rather than ignored
+        tmp, config, config_path = workspace
+        argv = ["eval", "--config", str(config_path), "--mode", "bicubic", "--model", str(tmp / "absent.ctsr")]
+        assert exit_status(argv) == 2
+        assert "argument --model: not allowed with argument --mode" in capsys.readouterr().err
+        assert not (tmp / "logs").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -150,7 +150,7 @@ class TestStreamedForward:
         else:
             d13 = he_weights(model.build_network(13, ops.RngState(13)), np.random.default_rng(13))
             plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=1)
-            net, _ = trimming.cascade_trim(d13, None, None, plan)
+            net, _ = trimming.trim(d13, None, None, plan)
         widest = max(net.filter_counts())
         width = 18
         band_rows = model.BAND_BUDGET // (2 * widest * width * 4)

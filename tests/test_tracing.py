@@ -31,18 +31,21 @@ def test_every_traced_name_is_a_module_level_function():
 
 
 def test_cli_trim_calls_the_patched_cascade_trim(tmp_path, monkeypatch):
+    # perfbench traces trimming.cascade_trim, and the tracer patches every
+    # module attribute bound to it: trimming.trim too, which the CLI calls
+    assert trimming.cascade_trim is trimming.trim
     model_in, model_out = tmp_path / "parent.ctsr", tmp_path / "slim.ctsr"
     model.save_model(model.build_network(5, ops.RngState(4)), str(model_in))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model_in": str(model_in), "model_out": str(model_out)}))
     calls = []
-    original = trimming.cascade_trim
+    original = trimming.trim
 
     def wrapper(*args, **kwargs):
-        calls.append(kwargs["plan"].mode)
+        calls.append(args[3].mode)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(trimming, "cascade_trim", wrapper)
+    monkeypatch.setattr(trimming, "trim", wrapper)
     assert cli.main(["trim", "--config", str(config)]) == 0
     assert calls == [trimming.MODE_CASCADE_TRIM]
     assert model.load_model(str(model_out)).filter_counts() == [32, 16, 16, 16, 1]

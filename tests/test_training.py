@@ -153,7 +153,7 @@ class TestReusedBuffers:
         net = he_weights(model.build_network(7, ops.RngState(2)), np.random.default_rng(6))
         if trimmed:
             plan = trimming.TrimPlan(7, trimming.MODE_CASCADE_TRIM, seed=1)
-            net, _ = trimming.cascade_trim(net, None, None, plan)
+            net, _ = trimming.trim(net, None, None, plan)
             assert net.filter_counts() == [32, 16, 16, 16, 16, 16, 1]
         reference = model.clone(net)
         cfg = quick_cfg(learning_rate=0.001)

@@ -168,14 +168,14 @@ class TestTrimFilters:
 class TestOneShotTrim:
     def test_half_rate_filter_counts(self, net13):
         plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
-        out, log = trimming.one_shot_trim(net13, plan)
+        out, (log,) = trimming.trim(net13, None, None, plan)
         assert out.filter_counts() == [32] + [16] * 11 + [1]
         assert log.param_count_after == 38_832
         assert sorted(log.removed_filters) == list(range(12))
 
     def test_zero_rate_identity(self, net13):
         plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=0.0)
-        out, log = trimming.one_shot_trim(net13, plan)
+        out, (log,) = trimming.trim(net13, None, None, plan)
         for a, b in zip(out.layers, net13.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
         assert log.removed_filters == {}
@@ -187,7 +187,7 @@ class TestOneShotTrim:
         w[[2, 7, 11]] = 0.0  # three clearly-least-important filters
         net.layers[1].weights[:] = 1.0  # 32 equal scores: the lowest index goes
         plan = trimming.TrimPlan(3, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=3 / 64)
-        out, log = trimming.one_shot_trim(net, plan)
+        out, (log,) = trimming.trim(net, None, None, plan)
         assert log.removed_filters == {0: [2, 7, 11], 1: [0]}
 
     def test_greedy_differs_from_independent(self):
@@ -200,7 +200,7 @@ class TestOneShotTrim:
         w1[:] = 0.0
         w1[0, :32] = 10.0  # huge independent mass, all in removed channels
         w1[1:, 32:] = 0.2
-        _, ind_log = trimming.one_shot_trim(net, trimming.TrimPlan(3, "one_shot_independent", rate=0.5))
+        _, (ind_log,) = trimming.trim(net, None, None, trimming.TrimPlan(3, "one_shot_independent", rate=0.5))
         assert ind_log.removed_filters[0] == list(range(32))
         assert ind_log.removed_filters[1] == list(range(1, 17))  # ties among 1..31 go lowest first
 
@@ -210,7 +210,7 @@ class TestOneShotTrim:
             learning_rate=0.0, plateau_threshold=0.03, target_depth=13, batch_size=8,
             max_epochs_per_stage=5, seed=1,
         )
-        out, log = trimming.one_shot_trim(net13, plan, tiny_patches(), cfg)
+        out, (log,) = trimming.trim(net13, tiny_patches(), cfg, plan)
         assert log.epochs == 2  # lr=0 plateaus on the second epoch
 
 
@@ -220,14 +220,14 @@ class TestCascadeTrim:
 
     def test_six_stages_and_table_values(self, net13):
         plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=77)
-        out, logs = trimming.cascade_trim(net13, None, None, plan)
+        out, logs = trimming.trim(net13, None, None, plan)
         assert len(logs) == 6
         assert [log.param_count_after for log in logs[:4]] == TABLE_TRIM_PARAMS
         assert out.filter_counts() == [32] + [16] * 11 + [1]
 
     def test_param_count_strictly_decreases(self, net13):
         plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=1)
-        _, logs = trimming.cascade_trim(net13, None, None, plan)
+        _, logs = trimming.trim(net13, None, None, plan)
         counts = [model.param_count(net13)] + [log.param_count_after for log in logs]
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
@@ -246,17 +246,17 @@ class TestCascadeTrim:
 
     def test_random_selection_reproducible(self, net13):
         plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=9)
-        a, _ = trimming.cascade_trim(net13, None, None, plan)
-        b, _ = trimming.cascade_trim(net13, None, None, plan)
+        a, _ = trimming.trim(net13, None, None, plan)
+        b, _ = trimming.trim(net13, None, None, plan)
         for la, lb in zip(a.layers, b.layers):
             assert la.weights.tobytes() == lb.weights.tobytes()
 
     def test_matches_one_shot_architecture(self, net13):
-        cascade, _ = trimming.cascade_trim(
+        cascade, _ = trimming.trim(
             net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
         )
-        one_shot, _ = trimming.one_shot_trim(
-            net13, trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+        one_shot, _ = trimming.trim(
+            net13, None, None, trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
         )
         assert [l.spec for l in cascade.layers] == [l.spec for l in one_shot.layers]
 
@@ -274,12 +274,11 @@ class TestStageHistory:
         net.stage_history.append(trained)
         plan = trimming.TrimPlan(7, mode, seed=3)
         if mode == trimming.MODE_CASCADE_TRIM:
-            out, logs = trimming.cascade_trim(net, None, None, plan)
+            out, logs = trimming.trim(net, None, None, plan)
         else:
             cfg = training.TrainConfig(learning_rate=0.0, target_depth=7, batch_size=8, max_epochs_per_stage=1)
-            out, log = trimming.one_shot_trim(net, plan, tiny_patches(), cfg)
-            logs = [log]
-            assert log.epochs == 1
+            out, logs = trimming.trim(net, tiny_patches(), cfg, plan)
+            assert [log.epochs for log in logs] == [1]
         assert out.stage_history == [trained] + logs
         assert out.stage_history[-1].param_count_after == model.param_count(out)
         assert net.stage_history == [trained]
@@ -296,7 +295,7 @@ class TestTrimTrain:
             max_epochs_per_stage=0, seed=2, mode="trim_train",
         )
         net, _ = training.train(tiny_patches(), cfg)
-        reference, _ = trimming.cascade_trim(
+        reference, _ = trimming.trim(
             net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
         )
         assert net.filter_counts() == reference.filter_counts()
@@ -310,14 +309,14 @@ class TestTrimPlan:
                 trimming.TrimPlan(3, "cascade", rate=rate)
 
     def test_mode_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             trimming.TrimPlan(3, "surprise")
+        assert str(exc.value) == "trim mode must be one of ['cascade', 'one_shot_independent'], got 'surprise'"
 
     def test_depth_mismatch_rejected(self, net13):
-        with pytest.raises(ValueError, match="depth 11"):
-            trimming.cascade_trim(net13, None, None, trimming.TrimPlan(11, trimming.MODE_CASCADE_TRIM))
-        with pytest.raises(ValueError, match="depth 11"):
-            trimming.one_shot_trim(net13, trimming.TrimPlan(11, trimming.MODE_ONE_SHOT_INDEPENDENT))
+        for mode in trimming.MODES:
+            with pytest.raises(ValueError, match="depth 11"):
+                trimming.trim(net13, None, None, trimming.TrimPlan(11, mode))
 
     @pytest.mark.parametrize("given", ["patches", "cfg"])
     @pytest.mark.parametrize("mode", [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT])
@@ -327,7 +326,4 @@ class TestTrimPlan:
         cfg = training.TrainConfig(target_depth=13) if given == "cfg" else None
         plan = trimming.TrimPlan(13, mode)
         with pytest.raises(ValueError, match="both patches and cfg"):
-            if mode == trimming.MODE_CASCADE_TRIM:
-                trimming.cascade_trim(net13, patches, cfg, plan)
-            else:
-                trimming.one_shot_trim(net13, plan, patches, cfg)
+            trimming.trim(net13, patches, cfg, plan)
