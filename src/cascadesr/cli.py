@@ -1,7 +1,9 @@
 """Config-driven command line: prepare / train / trim / eval / infer.
 
-A JSON config file carries the run parameters; flags only name files (and
-eval's bicubic baseline). Unknown config keys and wrongly typed values are
+A JSON config file carries the run parameters and names the data files a run
+shares (manifest, patch cache, log directory); flags name each command's model
+and output files (and eval's bicubic baseline). Each path has one home, so no
+flag overrides a config key. Unknown config keys and wrongly typed values are
 rejected and every referenced path is checked before any work starts.
 """
 
@@ -18,8 +20,7 @@ from .model import load_model, param_count, save_model
 from .training import TrainConfig, train
 
 # every config key with its JSON type
-TOP_KEYS = {"seed": int, "scale": int, "manifest": str, "patches": str, "model_in": str, "model_out": str,
-            "log_dir": str, "train": dict, "trim": dict}
+TOP_KEYS = {"seed": int, "scale": int, "manifest": str, "patches": str, "log_dir": str, "train": dict, "trim": dict}
 TRAIN_KEYS = {"mode": str, "learning_rate": float, "plateau_threshold": float, "target_depth": int,
               "batch_size": int, "max_epochs_per_stage": int}
 TRIM_KEYS = {"mode": str, "rate": float}
@@ -29,30 +30,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _of_type(value, kind: type) -> bool:
-    """An int counts as a float, a bool as neither."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
-
-
-def _check_keys(where: str, section, allowed: dict) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    for key, value in section.items():
-        if not _of_type(value, allowed[key]):
-            raise ConfigError(f"{where} key {key!r} must be {allowed[key].__name__}, got {value!r}")
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         raw = json.load(fh)
-    _check_keys("config", raw, TOP_KEYS)
+    data.check_keys("config", raw, TOP_KEYS, ConfigError)
     for section, allowed in (("train", TRAIN_KEYS), ("trim", TRIM_KEYS)):
-        _check_keys(f"{section} config", raw.get(section, {}), allowed)
+        data.check_keys(f"{section} config", raw.get(section, {}), allowed, ConfigError)
     data.check_scale(raw.get("scale", 2))
     return raw
 
@@ -60,13 +45,19 @@ def load_config(path: str | None) -> dict:
 def _require(cfg: dict, key: str, command: str) -> str:
     value = cfg.get(key)
     if not value:
-        raise ConfigError(f"{command} requires {key!r} (config key or flag)")
+        raise ConfigError(f"{command} requires config key {key!r}")
     return value
 
 
 def _check_exists(path: str, what: str):
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
+
+
+def _out_stem(path: str) -> str:
+    """Make path's directory; return the stem its stage checkpoints are named from."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path[:-5] if path.endswith(".ctsr") else path
 
 
 def _manifest(cfg: dict, command: str) -> data.DatasetManifest:
@@ -85,7 +76,7 @@ def cmd_prepare(cfg: dict, args) -> int:
     manifest = _manifest(cfg, "prepare")
     for entry in manifest.images:
         _check_exists(entry.path, "image")
-    out = args.out or _require(cfg, "patches", "prepare")
+    out = _require(cfg, "patches", "prepare")
     patches, warnings = data.build_patches(manifest, role="train")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -101,13 +92,10 @@ def cmd_train(cfg: dict, args) -> int:
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
-    model_out = args.out or _require(cfg, "model_out", "train")
-    os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
-    stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
-    log_dir = cfg.get("log_dir")
-    net, _ = train(patches, tc, log_dir=log_dir, checkpoint_stem=stem, scale=scale)
-    save_model(net, model_out)
-    print(f"trained depth {net.depth}, {param_count(net)} parameters -> {model_out}")
+    stem = _out_stem(args.out)
+    net, _ = train(patches, tc, log_dir=cfg.get("log_dir"), checkpoint_stem=stem, scale=scale)
+    save_model(net, args.out)
+    print(f"trained depth {net.depth}, {param_count(net)} parameters -> {args.out}")
     return 0
 
 
@@ -117,21 +105,18 @@ def cmd_trim(cfg: dict, args) -> int:
     if mode not in trimming.MODES:
         raise ConfigError(f"trim mode must be one of {trimming.MODES}, got {mode!r}")
     train_cfg = _train_config(cfg) if cfg.get("patches") else None
-    model_in = args.model or _require(cfg, "model_in", "trim")
-    _check_exists(model_in, "model")
+    _check_exists(args.model, "model")
     patches = None
     if train_cfg is not None:
         _check_exists(cfg["patches"], "patch cache")
         patches = data.load_patches(cfg["patches"])
-    model_out = args.out or _require(cfg, "model_out", "trim")
-    os.makedirs(os.path.dirname(model_out) or ".", exist_ok=True)
-    stem = model_out[:-5] if model_out.endswith(".ctsr") else model_out
-    parent = load_model(model_in)
+    stem = _out_stem(args.out)
+    parent = load_model(args.model)
     plan = trimming.TrimPlan(parent.depth, mode, section.get("rate", 0.5), cfg.get("seed", 0))
     # looked up at call time, so a patched module attribute is the one called
     net, _ = trimming.trim(parent, patches, train_cfg, plan, checkpoint_stem=stem)
-    save_model(net, model_out)
-    print(f"trimmed to {param_count(net)} parameters -> {model_out}")
+    save_model(net, args.out)
+    print(f"trimmed to {param_count(net)} parameters -> {args.out}")
     return 0
 
 
@@ -140,14 +125,14 @@ def cmd_eval(cfg: dict, args) -> int:
     for path in manifest.paths("test"):
         _check_exists(path, "test image")
     net = None
-    if args.mode != "bicubic":
-        model_in = args.model or _require(cfg, "model_in", "eval")
-        _check_exists(model_in, "model")
-        net = load_model(model_in)
-    out_dir = args.out or cfg.get("log_dir") or "."
-    os.makedirs(out_dir, exist_ok=True)
+    if args.model:
+        _check_exists(args.model, "model")
+        net = load_model(args.model)
+        if net.scale != manifest.scale:
+            raise ConfigError(f"model {args.model} is x{net.scale}, but eval scores at x{manifest.scale}")
+    os.makedirs(args.out, exist_ok=True)
     report = evaluate.benchmark(net, manifest)
-    report.write_json(os.path.join(out_dir, f"eval_{report.net_id}.json"))
+    report.write_json(os.path.join(args.out, f"eval_{report.net_id}.json"))
     if not report.rows:
         print("warning: empty test set", file=sys.stderr)
         return 0
@@ -162,14 +147,9 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_infer(cfg: dict, args) -> int:
-    model_in = args.model or _require(cfg, "model_in", "infer")
-    _check_exists(model_in, "model")
-    if not args.input:
-        raise ConfigError("infer requires an input image path")
+    _check_exists(args.model, "model")
     _check_exists(args.input, "input image")
-    if not args.out:
-        raise ConfigError("infer requires --out")
-    net = load_model(model_in)
+    net = load_model(args.model)
     img = data.load_image(args.input)
     sr = evaluate.infer_image(net, img)
     data.save_image(sr, args.out)
@@ -189,18 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("infer", cmd_infer),
     ):
         p = sub.add_parser(name, allow_abbrev=False)
-        p.set_defaults(fn=fn)
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output path (cache/model/report directory/image)")
-        # eval scores either a model or the bicubic baseline, so it refuses both flags together
-        model_or_mode = p.add_mutually_exclusive_group() if name == "eval" else p
+        p.set_defaults(fn=fn, config=None)
+        if name != "infer":  # infer's model, input and output are all flags
+            p.add_argument("--config", help="JSON run configuration")
+        if name != "prepare":  # prepare writes the config's patch cache; eval reports to "." by default
+            p.add_argument("--out", required=name != "eval", default=".",
+                           help="output path (model/report directory/image)")
+        # eval scores either a model or the bicubic baseline: exactly one of the two
+        model_or_mode = p.add_mutually_exclusive_group(required=True) if name == "eval" else p
         if name in ("trim", "eval", "infer"):
-            model_or_mode.add_argument("--model", help="model file (overrides model_in)")
+            model_or_mode.add_argument("--model", required=name != "eval", help="model file")
         if name == "eval":
             model_or_mode.add_argument("--mode", choices=["bicubic"],
                                        help="score the bicubic baseline instead of a model")
         if name == "infer":
-            p.add_argument("input", nargs="?", help="input PGM image")
+            p.add_argument("input", help="input PGM image")
     return parser
 
 

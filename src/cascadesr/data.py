@@ -49,6 +49,19 @@ class ManifestError(ValueError):
     pass
 
 
+def check_keys(where: str, section, allowed: dict, error: type = ManifestError) -> None:
+    """Refuse a JSON section that is not an object, or has a key or value type not in allowed."""
+    if not isinstance(section, dict):
+        raise error(f"{where} must be a JSON object, got {section!r}")
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise error(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in section.items():
+        kind = (int, float) if allowed[key] is float else allowed[key]  # an int counts as a float, a bool as neither
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise error(f"{where} key {key!r} must be {allowed[key].__name__}, got {value!r}")
+
+
 def load_image(path: str) -> np.ndarray:
     """Read an 8-bit binary PGM into a 1x1xHxW tensor in [0, 1]."""
     with open(path, "rb") as fh:
@@ -211,13 +224,14 @@ class DatasetManifest:
     def from_json(path: str) -> "DatasetManifest":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {"images", "scale", "patch"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-        patch = PatchParams(**raw.get("patch", {}))
+        check_keys("manifest", raw, {"images": list, "scale": int, "patch": dict})
+        check_keys("manifest patch", raw.get("patch", {}), {"lr_size": int, "stride": int, "hr_size": int})
+        for i, entry in enumerate(raw.get("images", [])):
+            check_keys(f"manifest image {i}", entry, {"path": str, "role": str})
+            if set(entry) != {"path", "role"}:
+                raise ManifestError(f"manifest image {i} needs 'path' and 'role', got {sorted(entry)}")
         images = [ManifestEntry(**e) for e in raw.get("images", [])]
-        return DatasetManifest(images=images, scale=raw.get("scale", 2), patch=patch)
+        return DatasetManifest(images=images, scale=raw.get("scale", 2), patch=PatchParams(**raw.get("patch", {})))
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -290,7 +290,6 @@ class TestCriterion9Determinism:
                 "seed": 11,
                 "manifest": manifest_path,
                 "patches": str(work / "train.ctpd"),
-                "model_out": str(work / "model.ctsr"),
                 "train": {
                     "mode": "cascade",
                     "learning_rate": 0.05,
@@ -304,22 +303,17 @@ class TestCriterion9Determinism:
             cfg_path = work / "config.json"
             cfg_path.write_text(json.dumps(config))
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-            for cmd in ("prepare", "train"):
+            for argv in (
+                ["prepare"],
+                ["train", "--out", str(work / "model.ctsr")],
+                ["trim", "--model", str(work / "model.ctsr"), "--out", str(work / "trimmed.ctsr")],
+            ):
                 subprocess.run(
-                    [sys.executable, "-m", "cascadesr.cli", cmd, "--config", str(cfg_path)],
+                    [sys.executable, "-m", "cascadesr.cli", *argv, "--config", str(cfg_path)],
                     check=True,
                     env=env,
                     capture_output=True,
                 )
-            config["model_in"] = config["model_out"]
-            config["model_out"] = str(work / "trimmed.ctsr")
-            cfg_path.write_text(json.dumps(config))
-            subprocess.run(
-                [sys.executable, "-m", "cascadesr.cli", "trim", "--config", str(cfg_path)],
-                check=True,
-                env=env,
-                capture_output=True,
-            )
             blobs = {}
             for name in sorted(os.listdir(work)):
                 if name.endswith(".ctsr") or name.endswith(".ctpd"):

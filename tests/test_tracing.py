@@ -4,7 +4,6 @@ module attribute from outside (`perfbench/tracing.py`)."""
 import ast
 import importlib
 import inspect
-import json
 import pathlib
 
 from cascadesr import cli, model, ops, trimming
@@ -36,8 +35,6 @@ def test_cli_trim_calls_the_patched_cascade_trim(tmp_path, monkeypatch):
     assert trimming.cascade_trim is trimming.trim
     model_in, model_out = tmp_path / "parent.ctsr", tmp_path / "slim.ctsr"
     model.save_model(model.build_network(5, ops.RngState(4)), str(model_in))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model_in": str(model_in), "model_out": str(model_out)}))
     calls = []
     original = trimming.trim
 
@@ -46,6 +43,6 @@ def test_cli_trim_calls_the_patched_cascade_trim(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(trimming, "trim", wrapper)
-    assert cli.main(["trim", "--config", str(config)]) == 0
+    assert cli.main(["trim", "--model", str(model_in), "--out", str(model_out)]) == 0
     assert calls == [trimming.MODE_CASCADE_TRIM]
     assert model.load_model(str(model_out)).filter_counts() == [32, 16, 16, 16, 1]
