@@ -110,7 +110,7 @@ def inference_outputs(out: str):
         for input_name, x in inputs.items():
             for batch in (1, 2):
                 np.save(f"{out}/forward_{net_name}_{input_name}_b{batch}.npy", model.forward(net, x[:batch]))
-    x = gen.uniform(-1, 1, (2, 16, 200, 40))  # six of conv2d_forward's column bands
+    x = gen.uniform(-1, 1, (2, 16, 200, 40))  # 16 channels: conv2d_forward's one-product-per-kernel-row form
     kernel, bias = gen.uniform(-1, 1, (8, 16, 5, 5)), gen.uniform(-1, 1, 8)
     for pad in (0, 1):
         y = ops.conv2d_forward(x, kernel, bias, pad)

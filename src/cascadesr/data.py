@@ -109,6 +109,8 @@ def save_image(tensor: np.ndarray, path: str) -> None:
     check_tensor4(tensor, "image")
     if tensor.shape[0] != 1 or tensor.shape[1] != 1:
         raise ImageFormatError(f"expected 1x1xHxW image tensor, got {tensor.shape}")
+    if not np.isfinite(tensor).all():
+        raise ImageFormatError(f"{path}: non-finite pixel value, nothing written")
     img = np.clip(np.rint(tensor[0, 0].astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))

@@ -141,6 +141,8 @@ def _eval_one(net, path, scale, border):
         else:
             sr = infer_image(net, lr_up)
         seconds = time.perf_counter() - t0
+        if not np.isfinite(sr).all():
+            raise ValueError("non-finite network output")
         truth = hr[:, :, border:-border, border:-border] if border else hr
         return EvalRow(path, psnr(sr, truth), ssim(sr, truth), seconds)
     except (ValueError, OSError) as exc:

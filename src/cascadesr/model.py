@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import atomic_write
-from .ops import FLOAT, RngState, Workspace, check_tensor4, conv2d_forward, conv2d_output_size, gaussian_init
+from .ops import (
+    FLOAT, RngState, Workspace, check_tensor4, conv2d_forward, conv2d_output_size, forward_row_bytes, gaussian_init,
+)
 
 MAGIC = b"CTSR"
 FORMAT_VERSION = 1
@@ -32,10 +34,14 @@ ACT_RELU = "rectifier"
 _ACT_CODES = {ACT_NONE: 0, ACT_RELU: 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
-# bytes of the widest activation forward holds per chunk of input rows. Line
-# buffers make small chunks recompute nothing; 4 MiB read a lower
-# infer-large peak RSS than 1 or 2 MiB
-BAND_BUDGET = 4 << 20
+# bytes of float64 working set (ops.forward_row_bytes) the costliest layer of
+# a forward chunk may hold. Line buffers make small chunks recompute nothing,
+# but every chunk unfolds its k-1 halo rows again. Chosen by measurement on a
+# 2-core box: a 512-px d7 plus trimmed d13 pass took a median 2.8 s at 4 MiB
+# and 1.7-2.2 s from 8 to 16 MiB. The infer-large benchmark's peak RSS, set
+# by whether its float64 reference check fits in the heap space a pass freed,
+# read 74.6 MiB at 11 MiB and 79-87 MiB at 6-10 and 12-16 MiB
+BAND_BUDGET = 11 << 20
 
 # init std for every built layer, and the noise added to each inserted layer's identity tap
 GAUSSIAN_SIGMA = 0.001
@@ -244,8 +250,10 @@ def forward(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     on, convolves, keeps the new last k - 1 rows and passes on exactly the
     output rows it could compute, so no row is computed twice. A padded
     layer gets its top zero rows with its first rows and its bottom zero
-    rows with the image's last chunk. Peak memory is bounded by chunk x
-    width x widest layer, whatever the image height; each output pixel is
+    rows with the image's last chunk. A chunk has as many rows as keep the
+    costliest layer's float64 working set (ops.forward_row_bytes) within
+    BAND_BUDGET, so each layer of a chunk is one conv2d_forward call and
+    peak memory is bounded whatever the image height; each output pixel is
     the same sum, in the same order, as a whole-image pass.
     """
     check_tensor4(x, "input")
@@ -253,11 +261,11 @@ def forward(net: NetworkModel, x: np.ndarray) -> np.ndarray:
         raise InvalidNetworkError(f"network takes 1 input channel, got {x.shape[1]}")
     heights, widths = zip(*_layer_sizes(net, x.shape[2], x.shape[3]))
     n = x.shape[0]
-    widest = max(l.spec.out_filters for l in net.layers)
-    rows = max(1, BAND_BUDGET // (n * widest * x.shape[3] * x.itemsize))
+    costliest = max(forward_row_bytes(l.weights.shape, w) for l, w in zip(net.layers, widths[1:]))
+    rows = max(1, BAND_BUDGET // (n * costliest))
     out = np.empty((n, 1, heights[-1], widths[-1]), dtype=x.dtype)
     held = [None] * net.depth  # each layer's line buffer, once the layer has had rows
-    ws = Workspace()  # one column buffer for every chunk's convolutions, not one per call
+    ws = Workspace()  # one set of float64 buffers for every chunk's convolutions, not one per call
     done = 0
     for top in range(0, x.shape[2], rows):
         last = top + rows >= x.shape[2]

@@ -4,9 +4,12 @@ Tensors are float32 numpy arrays, except that the reference pair
 conv2d_forward / conv2d_backward also takes float64. Image-like data
 ("tensor4") is laid out (batch, channels, height, width); convolution
 kernels (out_filters, in_channels, kh, kw). Every operation here is
-deterministic for fixed inputs and a fixed BLAS thread count. The four conv
-entry points share one engine (pad, unfold, one matmul plus bias in the
-dtype each entry point fixes) whose arrays live in a Workspace (ws=):
+deterministic for fixed inputs and a fixed BLAS thread count. The training
+pair and the reference gradient share one engine (pad, full unfold, one
+matmul plus bias in the dtype each entry point fixes). The whole-image
+forward, conv2d_forward, accumulates in float64 and unfolds a multi-channel
+input along the width only, with one matmul per kernel row, because that
+unfold is kh times smaller. Their arrays live in a Workspace (ws=):
 training passes its own to reuse them from batch to batch, model.forward
 its own to reuse them from chunk to chunk, and ws=None means a throwaway
 one.
@@ -20,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FLOAT = np.float32
-
-# bytes of float64 input columns conv2d_forward unfolds at once
-COLS_BUDGET = 8 << 20
 
 
 class ShapeMismatchError(ValueError):
@@ -104,6 +104,7 @@ class Workspace:
         size = math.prod(shape)
         a = self._arrays.get(key)
         if a is None or a.size < size or a.dtype != dtype:
+            self._arrays[key] = a = None  # release the smaller array before making its replacement
             a = self._arrays[key] = np.zeros(size, dtype)
         return a[:size].reshape(shape)
 
@@ -141,34 +142,51 @@ def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, acc, ws
     return out.reshape(x.shape[0], co, oh, ow), cols
 
 
+def forward_row_bytes(kernel_shape: tuple, ow: int) -> int:
+    """Bytes of float64 working set conv2d_forward holds per output row of
+    one sample: the width-unfolded input row plus the output and the
+    kernel-row term for a multi-channel input, the full unfold plus the
+    output for a 1-channel one."""
+    co, ci, kh, kw = kernel_shape
+    return 8 * ow * (ci * kw + 2 * co if ci > 1 else ci * kh * kw + co)
+
+
 def conv2d_forward(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, *, ws: Workspace | None = None
 ) -> np.ndarray:
     """Stride-1 cross-correlation of a 4-D batch with square kernels,
     accumulated in float64.
 
-    The input is unfolded and multiplied one band of output rows at a time,
-    each band's float64 columns kept under COLS_BUDGET bytes in one buffer
-    that every band reuses, and every band is written into one preallocated
-    output. Each output value is the same sum, in the same order, as with
-    one unfold of the whole input. A caller that convolves many chunks
-    passes one workspace, so the buffers are reused across its calls too.
+    A multi-channel input is unfolded along the width only, ci*kw float64
+    values per input row, and multiplied one kernel row at a time: kernel
+    row i times the rows i .. i+oh-1, a strided view of the one unfold, each
+    term added in order to one float64 output and the bias added last. A
+    1-channel input (the 9x9 first layer, where that form runs slower) is
+    unfolded whole and multiplied once. Both forms keep their float64
+    output under one workspace key, so a caller that convolves many chunks
+    with one workspace holds one output buffer. The result is returned in
+    the input's dtype, in a fresh array.
     """
     co, ci, kh, kw, oh, ow = _check_conv_args(x, kernel, bias, pad)
     ws = ws or Workspace()
-    xp = _pad(x, pad, ws)
     kernel64, bias64 = kernel.astype(np.float64), bias.astype(np.float64)
-    out = np.empty((x.shape[0], co, oh, ow), dtype=x.dtype)
-    rows = max(1, COLS_BUDGET // (x.shape[0] * ci * kh * kw * ow * 8))
-    for top in range(0, oh, rows):
-        bottom = min(top + rows, oh)
-        out[:, :, top:bottom] = _conv(xp[:, :, top : bottom + kh - 1], kernel64, bias64, 0, np.float64, ws, "band")[0]
-    return out
+    if ci == 1:
+        return _conv(x, kernel64, bias64, pad, np.float64, ws, "infer")[0].astype(x.dtype)
+    rows = _unfold(x, 1, kw, pad, np.float64, ws, "infer_rows")  # a 1-row kernel's columns: every padded row
+    out = ws.array("infer_out", (x.shape[0], co, oh * ow), np.float64)
+    term = ws.array("infer_term", out.shape, np.float64)
+    taps = kernel64.transpose(2, 0, 1, 3).reshape(kh, co, ci * kw)
+    np.matmul(taps[0], rows[:, :, : oh * ow], out=out)
+    for i in range(1, kh):
+        out += np.matmul(taps[i], rows[:, :, i * ow : (i + oh) * ow], out=term)
+    out += bias64[:, None]
+    return out.reshape(x.shape[0], co, oh, ow).astype(x.dtype)
 
 
 def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, *, ws: Workspace | None = None):
-    """Training forward: conv2d_forward accumulated in the input's dtype,
-    plus the unfolded input columns.
+    """Training forward: conv2d_forward's cross-correlation as one product
+    of the full unfold, accumulated in the input's dtype, plus the unfolded
+    input columns.
 
     The columns are what the backward pass needs for the kernel gradient, so
     the training loop keeps them instead of re-unfolding. Both returned

@@ -532,6 +532,30 @@ class TestEvalInfer:
         report = json.loads((tmp / "logs" / "eval_net-d3.json").read_text())
         assert report["net"] == "net-d3" and [r["error"] for r in report["images"]] == [""]
 
+    @staticmethod
+    def nan_model(tmp) -> str:
+        net = model.build_network(3, ops.RngState(0))
+        net.layers[1].weights[0, 0, 2, 2] = np.nan
+        model.save_model(net, str(tmp / "nan.ctsr"))
+        return str(tmp / "nan.ctsr")
+
+    def test_eval_fails_on_non_finite_output(self, workspace, capsys):
+        tmp, config, config_path = workspace
+        argv = ["eval", "--config", str(config_path), "--model", self.nan_model(tmp), "--out", str(tmp / "logs")]
+        assert cli.main(argv) == 1
+        report = json.loads((tmp / "logs" / "eval_net-d3.json").read_text())
+        assert [r["error"] for r in report["images"]] == ["non-finite network output"]
+        assert "non-finite network output" in capsys.readouterr().err
+
+    def test_infer_writes_no_image_of_non_finite_output(self, workspace, capsys):
+        tmp, _, _ = workspace
+        src, dst = tmp / "in.pgm", tmp / "sr.pgm"
+        data.save_image(synthetic_image(np.random.default_rng(1), 33, 33), str(src))
+        assert cli.main(["infer", "--model", self.nan_model(tmp), str(src), "--out", str(dst)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+        assert not dst.exists()
+
     def test_eval_refuses_model_of_another_scale(self, workspace, capsys):
         # a scale-2 model on an x3 test set would score against the wrong degradation
         tmp, config, config_path = workspace

@@ -193,6 +193,19 @@ class TestStreamedForward:
         tall_peak, tall_bytes = peak(3200)
         assert tall_peak - short_peak <= (tall_bytes - short_bytes) + (1 << 20)
 
+    def test_budget_bounds_what_a_pass_allocates(self):
+        # BAND_BUDGET bounds each conv's float64 working set, not one
+        # activation, so a wide pass stays within a small multiple of it
+        net = model.build_network(7, ops.RngState(5))
+        x = np.random.default_rng(5).random((1, 1, 96, 512), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = model.forward(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes <= 3 * model.BAND_BUDGET
+
 
 class TestMultiplyCount:
     def test_formula_for_base_on_33(self, base_net):

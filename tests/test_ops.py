@@ -80,20 +80,28 @@ class TestConvForward:
 
 
     @pytest.mark.parametrize("pad", [0, 1])
-    def test_banded_equals_one_whole_unfold(self, rng, pad):
-        x = rand_tensor(rng, 2, 16, 200, 40)
-        k = rand_tensor(rng, 8, 16, 5, 5)
-        b = rand_tensor(rng, 8)
-        n, c, h, w = x.shape
-        oh, ow = h + 2 * pad - 4, w + 2 * pad - 4
-        assert oh * n * c * 25 * ow * 8 > 2 * ops.COLS_BUDGET  # at least three bands
-        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (5, 5), axis=(2, 3))
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 25, oh * ow)
-        whole = np.matmul(k.reshape(8, -1).astype(np.float64), cols)
-        whole += b.astype(np.float64)[:, None]
-        want = whole.reshape(n, 8, oh, ow).astype(np.float32)
-        np.testing.assert_array_equal(ops.conv2d_forward(x, k, b, pad), want)
+    def test_bit_equals_explicit_numpy_sum(self, rng, pad):
+        # a multi-channel input sums one matrix product per kernel row, in
+        # row order, then the bias; a 1-channel input is one whole unfold
+        for ci, co, k in ((16, 8, 5), (3, 4, 3), (1, 6, 9)):
+            x = rand_tensor(rng, 2, ci, 30, 40)
+            kern = rand_tensor(rng, co, ci, k, k)
+            b = rand_tensor(rng, co)
+            oh, ow = 30 + 2 * pad - k + 1, 40 + 2 * pad - k + 1
+            xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))  # n, ci, oh, ow, k, k
+            kern64 = kern.astype(np.float64)
+            if ci == 1:
+                cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(2, ci * k * k, oh * ow)
+                total = np.matmul(kern64.reshape(co, -1), cols)
+            else:
+                total = 0
+                for i in range(k):
+                    cols = windows[..., i, :].transpose(0, 1, 4, 2, 3).reshape(2, ci * k, oh * ow)
+                    total = total + np.matmul(kern64[:, :, i, :].reshape(co, -1), cols)
+            want = (total + b.astype(np.float64)[:, None]).reshape(2, co, oh, ow)
+            np.testing.assert_array_equal(ops.conv2d_forward(x.astype(np.float64), kern, b, pad), want)
+            np.testing.assert_array_equal(ops.conv2d_forward(x, kern, b, pad), want.astype(np.float32))
 
 
 class TestConvBackward:
@@ -173,7 +181,8 @@ class TestConvEntryPoints:
         k = rand_tensor(rng, 4, 3, 3, 3).astype(np.float64)
         b = rand_tensor(rng, 4).astype(np.float64)
         out, cols = ops.conv2d_forward_cols(x, k, b, pad)
-        np.testing.assert_array_equal(ops.conv2d_forward(x, k, b, pad), out)
+        # conv2d_forward sums kernel row by kernel row, the training forward in one product
+        np.testing.assert_allclose(ops.conv2d_forward(x, k, b, pad), out, rtol=1e-12, atol=1e-12)
         go = rand_tensor(rng, *out.shape).astype(np.float64)
         got = ops.conv2d_backward(x, k, go, pad)
         for g, want in zip(got, ops.conv2d_backward_from_cols(x.shape, k, go, pad, cols)):
