@@ -105,14 +105,14 @@ def load_image(path: str) -> np.ndarray:
 
 
 def save_image(tensor: np.ndarray, path: str) -> None:
-    """Write a 1x1xHxW tensor in [0, 1] as binary PGM."""
+    """Write a 1x1xHxW tensor in [0, 1] as binary PGM, through atomic_write."""
     check_tensor4(tensor, "image")
     if tensor.shape[0] != 1 or tensor.shape[1] != 1:
         raise ImageFormatError(f"expected 1x1xHxW image tensor, got {tensor.shape}")
     if not np.isfinite(tensor).all():
         raise ImageFormatError(f"{path}: non-finite pixel value, nothing written")
     img = np.clip(np.rint(tensor[0, 0].astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 
@@ -236,7 +236,7 @@ class DatasetManifest:
         return DatasetManifest(images=images, scale=raw.get("scale", 2), patch=PatchParams(**raw.get("patch", {})))
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path, "w") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

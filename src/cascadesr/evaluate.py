@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import BORDER, DatasetManifest, crop_to_multiple, degrade, load_image
+from .data import BORDER, DatasetManifest, atomic_write, crop_to_multiple, degrade, load_image
 from .model import NetworkModel, forward
 from .ops import ShapeMismatchError
 
@@ -113,7 +113,8 @@ class EvalReport:
 
     def write_json(self, path: str) -> None:
         """Strict JSON: a value with no JSON number (a failed image's scores,
-        the means of no scored image, an infinite PSNR) is written as null."""
+        the means of no scored image, an infinite PSNR) is written as null.
+        Written through atomic_write, so a failed write leaves path as it was."""
         doc = {
             "net": self.net_id,
             "scale": self.scale,
@@ -126,7 +127,7 @@ class EvalReport:
             "mean_ssim": _number(self.mean_ssim),
             "mean_seconds": _number(self.mean_seconds),
         }
-        with open(path, "w") as fh:
+        with atomic_write(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 

@@ -4,8 +4,8 @@ Generates reproducible images with both smooth structure and genuine
 high-frequency content (sharp rectangles, fine sinusoid texture, light
 noise), so bicubic degradation actually loses information and a trained
 network has something to recover. Not a substitute for benchmark datasets;
-the experiment scripts and the test suite use it when no real images are
-supplied.
+the desk protocol of the acceptance tests, scripts/make_corpus.py and the
+test suite use it when no real images are supplied.
 """
 
 from __future__ import annotations

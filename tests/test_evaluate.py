@@ -166,6 +166,23 @@ class TestBenchmark:
         for row in doc["images"]:
             assert row["error"] and row["psnr_db"] is None and row["ssim"] is None
 
+    def test_failed_write_leaves_old_report(self, corpus, tmp_path, monkeypatch):
+        path = tmp_path / "eval_bicubic.json"
+        report = evaluate.benchmark(None, corpus)
+        report.write_json(str(path))
+        before = path.read_bytes()
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"images": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(evaluate.json, "dump", partial_dump)
+        report.rows.pop()
+        with pytest.raises(OSError, match="disk full"):
+            report.write_json(str(path))
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["eval_bicubic.json"]
+
     def test_infinite_psnr_flagged_in_json(self, tmp_path):
         report = evaluate.EvalReport(net_id="x", scale=2)
         report.rows.append(evaluate.EvalRow("img", math.inf, 1.0, 0.0))
