@@ -52,9 +52,9 @@ def library_artifacts(out: str, patches: data.PatchSet):
                    checkpoint_stem=f"{out}/one_shot")
     training.train(patches, replace(cfg, mode="trim_train"), checkpoint_stem=f"{out}/trim_train")
     for tuned, fine, fine_cfg in (("", None, None), ("_ft", patches, cfg)):
-        trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(7, trimming.MODE_CASCADE_TRIM, seed=SEED),
+        trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(trimming.MODE_CASCADE_TRIM),
                       checkpoint_stem=f"{out}/cascade_trim{tuned}")
-        trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(7, trimming.MODE_ONE_SHOT_INDEPENDENT),
+        trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT),
                       checkpoint_stem=f"{out}/{trimming.MODE_ONE_SHOT_INDEPENDENT}{tuned}")
 
 
@@ -100,7 +100,7 @@ def inference_outputs(out: str):
     gen = np.random.default_rng(SEED)
     d7 = he_scaled(model.build_network(7, ops.RngState(SEED)), gen)
     d13 = he_scaled(model.build_network(13, ops.RngState(SEED)), gen)
-    trim13, _ = trimming.trim(d13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=SEED))
+    trim13, _ = trimming.trim(d13, None, None, trimming.TrimPlan(trimming.MODE_CASCADE_TRIM))
     # fixed shapes, so the inputs do not depend on model.BAND_BUDGET; the wide
     # input has its own generator, so adding it moved no other draw
     inputs = {"square": gen.random((2, 1, 512, 512), np.float32),

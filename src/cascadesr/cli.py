@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import data, evaluate, trimming
-from .model import load_model, param_count, save_model
+from .model import load_model, model_stem, param_count, save_model
 from .training import TrainConfig, train
 
 # every config key with its JSON type
@@ -57,7 +57,7 @@ def _check_exists(path: str, what: str):
 def _out_stem(path: str) -> str:
     """Make path's directory; return the stem its stage checkpoints are named from."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path[:-5] if path.endswith(".ctsr") else path
+    return model_stem(path)
 
 
 def _manifest(cfg: dict, command: str) -> data.DatasetManifest:
@@ -100,10 +100,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_trim(cfg: dict, args) -> int:
-    section = cfg.get("trim", {})
-    mode = section.get("mode", trimming.MODE_CASCADE_TRIM)
-    if mode not in trimming.MODES:
-        raise ConfigError(f"trim mode must be one of {trimming.MODES}, got {mode!r}")
+    plan = trimming.TrimPlan(**cfg.get("trim", {}))
     train_cfg = _train_config(cfg) if cfg.get("patches") else None
     _check_exists(args.model, "model")
     patches = None
@@ -112,7 +109,6 @@ def cmd_trim(cfg: dict, args) -> int:
         patches = data.load_patches(cfg["patches"])
     stem = _out_stem(args.out)
     parent = load_model(args.model)
-    plan = trimming.TrimPlan(parent.depth, mode, section.get("rate", 0.5), cfg.get("seed", 0))
     # looked up at call time, so a patched module attribute is the one called
     net, _ = trimming.trim(parent, patches, train_cfg, plan, checkpoint_stem=stem)
     save_model(net, args.out)

@@ -296,9 +296,9 @@ def clone(net: NetworkModel) -> NetworkModel:
     )
 
 
-def _sidecar_path(path: str) -> str:
-    stem = path[: -len(".ctsr")] if path.endswith(".ctsr") else path
-    return stem + ".json"
+def model_stem(path: str) -> str:
+    """A model path without its .ctsr suffix: the stem of its sidecar and of its stage checkpoints."""
+    return path[: -len(".ctsr")] if path.endswith(".ctsr") else path
 
 
 def save_model(net: NetworkModel, path: str) -> None:
@@ -320,7 +320,7 @@ def save_model(net: NetworkModel, path: str) -> None:
         "stage_history": [asdict(log) for log in net.stage_history],
     }
     # both files are replaced only once both are written in full
-    with atomic_write(path) as fh, atomic_write(_sidecar_path(path), "w") as side:
+    with atomic_write(path) as fh, atomic_write(model_stem(path) + ".json", "w") as side:
         fh.write(b"".join(parts))
         json.dump(sidecar, side, indent=2, sort_keys=True)
         side.write("\n")
@@ -362,7 +362,7 @@ def load_model(path: str) -> NetworkModel:
         raise ModelFormatError(f"{len(blob) - off} trailing bytes after last layer")
     net = NetworkModel(layers, scale=scale)
     net.validate()
-    sidecar = _sidecar_path(path)
+    sidecar = model_stem(path) + ".json"
     try:
         with open(sidecar) as fh:
             meta = json.load(fh)

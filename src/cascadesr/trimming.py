@@ -4,11 +4,12 @@ scratch, is training.train's trim_train mode).
 
 Removing output filter j from layer i deletes its kernel slab and bias and
 the matching input-channel slices of layer i+1, so both layers get cheaper.
-TrimPlan.mode picks the schedule: one-shot trimming removes the
-lowest-importance filters from every layer in one stage; cascade trimming
-removes a random share from two adjacent layers per stage, starting from the
-deepest trimmable pair (the single-filter output layer is never trimmed).
-Every stage fine-tunes the whole network.
+Both schedules remove each trimmed layer's lowest-importance filters, scored
+on the network as the stage begins; TrimPlan.mode picks only the stages.
+One-shot trimming trims every layer in one stage; cascade trimming trims two
+adjacent layers per stage, starting from the deepest trimmable pair (the
+single-filter output layer is never trimmed). Every stage fine-tunes the
+whole network.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .data import PatchSet
 from .model import Layer, NetworkModel, StageLog, clone, param_count, save_model
-from .ops import RngState
 from .training import TrainConfig, _train_stage
 
 MODES = ["cascade", "one_shot_independent"]
@@ -32,12 +32,10 @@ FINETUNE_STAGE_BASE = 1000
 
 @dataclass
 class TrimPlan:
-    """Trim floor(rate * n_i) of the n_i filters of each layer a stage trims, on a depth-layer net."""
+    """Trim floor(rate * n_i) of the n_i filters of each layer a stage trims, in mode's stages."""
 
-    depth: int
-    mode: str
+    mode: str = MODE_CASCADE_TRIM
     rate: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -46,7 +44,8 @@ class TrimPlan:
             raise ValueError(f"trim rate must lie in [0, 1), got {self.rate}")
 
 
-default_plan = TrimPlan  # the older name, which perfbench still calls
+def default_plan(depth: int, mode: str, seed: int = 0) -> TrimPlan:  # perfbench's older call; depth and seed unread
+    return TrimPlan(mode)
 
 
 def importance_scores(net: NetworkModel, layer_index: int) -> np.ndarray:
@@ -88,12 +87,7 @@ def trim_filters(net: NetworkModel, layer_index: int, filter_indices) -> Network
 
 def cascade_trim_pairs(depth: int) -> list[tuple[int, int]]:
     """Stage-ordered trimmed layer pairs, deepest first (0-based indices)."""
-    pairs = []
-    hi = depth - 2
-    while hi >= 1:
-        pairs.append((hi - 1, hi))
-        hi -= 2
-    return pairs
+    return [(hi - 1, hi) for hi in range(depth - 2, 0, -2)]
 
 
 def trim(
@@ -105,38 +99,27 @@ def trim(
 ):
     """Trim the network in plan.mode's stages, fine-tuning between them.
 
-    One-shot is one stage over layers 0..depth-2 that removes each layer's
-    lowest-importance filters, every layer scored on the untrimmed network,
-    ties broken toward the lower filter index. Cascade runs the
-    cascade_trim_pairs stages and removes a seeded random choice. Stage n
-    (from 1) removes floor(plan.rate * n_i) filters from each layer i it
-    trims, then fine-tunes the whole network to plateau when patches and cfg
+    One-shot is one stage over layers 0..depth-2; cascade runs the
+    cascade_trim_pairs stages. Stage n (from 1) scores every layer i it
+    trims on the network as the stage began, removes its floor(plan.rate *
+    n_i) lowest-importance filters, ties broken toward the lower filter
+    index, then fine-tunes the whole network to plateau when patches and cfg
     are given (both or neither), appends the stage's log to the network's
     stage_history after the training stages, and writes the -trimS{n}
     checkpoint. Returns (net, stage logs).
     """
-    if plan.depth != net.depth:
-        raise ValueError(f"plan is for depth {plan.depth}, the network has depth {net.depth}")
     if (patches is None) != (cfg is None):
         raise ValueError("fine-tuning needs both patches and cfg; give neither to trim without fine-tuning")
-    one_shot = plan.mode == MODE_ONE_SHOT_INDEPENDENT
-    stages = [range(net.depth - 1)] if one_shot else cascade_trim_pairs(net.depth)
-    rng = RngState(plan.seed)
+    stages = [range(net.depth - 1)] if plan.mode == MODE_ONE_SHOT_INDEPENDENT else cascade_trim_pairs(net.depth)
     current = clone(net)
     logs = []
     for stage, layers in enumerate(stages):
-        removed: dict[int, list[int]] = {}
-        for i in layers:
-            n = current.layers[i].spec.out_filters
-            count = math.floor(plan.rate * n)
-            if count == 0:
-                continue
-            if one_shot:
-                victims = np.argsort(importance_scores(net, i), kind="stable")[:count]
-            else:
-                victims = rng.child(3, stage, i).choice(n, size=count, replace=False)
-            removed[i] = sorted(victims.tolist())
-            current = trim_filters(current, i, removed[i])
+        # every layer of the stage is ranked before any of the stage's surgery
+        ranked = {i: np.argsort(importance_scores(current, i), kind="stable") for i in layers}
+        counts = {i: math.floor(plan.rate * len(r)) for i, r in ranked.items()}
+        removed = {i: sorted(ranked[i][:count].tolist()) for i, count in counts.items() if count}
+        for i, victims in removed.items():
+            current = trim_filters(current, i, victims)
         if cfg is None:
             log = StageLog(depth=current.depth)
         else:

@@ -85,7 +85,7 @@ class TestCriterion1ParamCounts:
             net = model.insert_layers(net, ops.RngState(2))
             grown.append(model.param_count(net))
         net13 = model.build_network(13, ops.RngState(3))
-        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=4)
+        plan = trimming.TrimPlan(trimming.MODE_CASCADE_TRIM)
         _, logs = trimming.trim(net13, None, None, plan)
         trim_counts = [log.param_count_after for log in logs[:4]]
         ok = built == TABLE1 and grown == TABLE1 and trim_counts == TABLE4_S1_S4
@@ -340,7 +340,7 @@ class TestDeskArms:
             cfg = cli.load_config(str(path))
             training.TrainConfig(**cfg["train"])
             if "trim" in cfg:
-                trimming.TrimPlan(7, **cfg["trim"])
+                trimming.TrimPlan(**cfg["trim"])
             for argv in arm.commands():
                 parser.parse_args([*argv, "--config", str(path)])
 
@@ -392,7 +392,7 @@ class TestCriterion7TrimOrdering:
 class TestCriterion8Efficiency:
     def test_trimmed_is_faster_and_multiplies_fall(self):
         net13 = model.build_network(13, ops.RngState(5))
-        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=6)
+        plan = trimming.TrimPlan(trimming.MODE_CASCADE_TRIM)
         trimmed, _ = trimming.trim(net13, None, None, plan)
         x = np.random.default_rng(0).random((1, 1, 180, 180), dtype=np.float32)
 

@@ -386,7 +386,7 @@ class TestTrim:
         parent = model.load_model(model_path(tmp))
         import cascadesr.trimming as trimming
 
-        out, _ = trimming.trim(parent, None, None, trimming.TrimPlan(parent.depth, "one_shot_independent", 0.0))
+        out, _ = trimming.trim(parent, None, None, trimming.TrimPlan("one_shot_independent", rate=0.0))
         assert [l.weights.tobytes() for l in out.layers] == [l.weights.tobytes() for l in parent.layers]
 
 

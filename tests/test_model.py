@@ -149,7 +149,7 @@ class TestStreamedForward:
             net = he_weights(model.build_network(7, ops.RngState(7)), np.random.default_rng(7))
         else:
             d13 = he_weights(model.build_network(13, ops.RngState(13)), np.random.default_rng(13))
-            plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=1)
+            plan = trimming.TrimPlan(trimming.MODE_CASCADE_TRIM)
             net, _ = trimming.trim(d13, None, None, plan)
         widest = max(net.filter_counts())
         width = 18

@@ -46,3 +46,13 @@ def test_cli_trim_calls_the_patched_cascade_trim(tmp_path, monkeypatch):
     assert cli.main(["trim", "--model", str(model_in), "--out", str(model_out)]) == 0
     assert calls == [trimming.MODE_CASCADE_TRIM]
     assert model.load_model(str(model_out)).filter_counts() == [32, 16, 16, 16, 1]
+
+
+def test_perfbench_default_plan_call_trims_as_trim_does():
+    # perfbench's infer-large set-up: default_plan(depth, mode, seed=...) then cascade_trim
+    net13 = model.build_network(13, ops.RngState(13))
+    plan = trimming.default_plan(13, trimming.MODE_CASCADE_TRIM, seed=7)
+    got, _ = trimming.cascade_trim(net13, None, None, plan)
+    want, _ = trimming.trim(net13, None, None, trimming.TrimPlan())
+    assert got.filter_counts() == [32] + [16] * 11 + [1]
+    assert [l.weights.tobytes() for l in got.layers] == [l.weights.tobytes() for l in want.layers]

@@ -152,7 +152,7 @@ class TestReusedBuffers:
         patches = make_patchset(n=44, seed=4)
         net = he_weights(model.build_network(7, ops.RngState(2)), np.random.default_rng(6))
         if trimmed:
-            plan = trimming.TrimPlan(7, trimming.MODE_CASCADE_TRIM, seed=1)
+            plan = trimming.TrimPlan(trimming.MODE_CASCADE_TRIM)
             net, _ = trimming.trim(net, None, None, plan)
             assert net.filter_counts() == [32, 16, 16, 16, 16, 16, 1]
         reference = model.clone(net)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadesr import data, model, ops, training, trimming
+from conftest import he_weights
 
 TABLE_TRIM_PARAMS = [137_424, 123_600, 109_776, 95_952]  # stages 1..4 on the 13-layer net
 
@@ -167,14 +168,14 @@ class TestTrimFilters:
 
 class TestOneShotTrim:
     def test_half_rate_filter_counts(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+        plan = trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT)
         out, (log,) = trimming.trim(net13, None, None, plan)
         assert out.filter_counts() == [32] + [16] * 11 + [1]
         assert log.param_count_after == 38_832
         assert sorted(log.removed_filters) == list(range(12))
 
     def test_zero_rate_identity(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=0.0)
+        plan = trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT, rate=0.0)
         out, (log,) = trimming.trim(net13, None, None, plan)
         for a, b in zip(out.layers, net13.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
@@ -186,7 +187,7 @@ class TestOneShotTrim:
         w[:] = 1.0
         w[[2, 7, 11]] = 0.0  # three clearly-least-important filters
         net.layers[1].weights[:] = 1.0  # 32 equal scores: the lowest index goes
-        plan = trimming.TrimPlan(3, trimming.MODE_ONE_SHOT_INDEPENDENT, rate=3 / 64)
+        plan = trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT, rate=3 / 64)
         out, (log,) = trimming.trim(net, None, None, plan)
         assert log.removed_filters == {0: [2, 7, 11], 1: [0]}
 
@@ -200,12 +201,12 @@ class TestOneShotTrim:
         w1[:] = 0.0
         w1[0, :32] = 10.0  # huge independent mass, all in removed channels
         w1[1:, 32:] = 0.2
-        _, (ind_log,) = trimming.trim(net, None, None, trimming.TrimPlan(3, "one_shot_independent", rate=0.5))
+        _, (ind_log,) = trimming.trim(net, None, None, trimming.TrimPlan("one_shot_independent", rate=0.5))
         assert ind_log.removed_filters[0] == list(range(32))
         assert ind_log.removed_filters[1] == list(range(1, 17))  # ties among 1..31 go lowest first
 
     def test_finetune_runs_to_plateau(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+        plan = trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT)
         cfg = training.TrainConfig(
             learning_rate=0.0, plateau_threshold=0.03, target_depth=13, batch_size=8,
             max_epochs_per_stage=5, seed=1,
@@ -219,44 +220,66 @@ class TestCascadeTrim:
         assert trimming.cascade_trim_pairs(13) == [(10, 11), (8, 9), (6, 7), (4, 5), (2, 3), (0, 1)]
 
     def test_six_stages_and_table_values(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=77)
+        plan = trimming.TrimPlan()
         out, logs = trimming.trim(net13, None, None, plan)
         assert len(logs) == 6
         assert [log.param_count_after for log in logs[:4]] == TABLE_TRIM_PARAMS
         assert out.filter_counts() == [32] + [16] * 11 + [1]
 
     def test_param_count_strictly_decreases(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=1)
+        plan = trimming.TrimPlan()
         _, logs = trimming.trim(net13, None, None, plan)
         counts = [model.param_count(net13)] + [log.param_count_after for log in logs]
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
-    def test_surgery_locality(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=5)
+    def test_surgery_locality(self, net13, tmp_path):
         # stage 1 only: layers 10, 11 trimmed, 12 loses input slices; 0..9 untouched
-        stage_net = model.clone(net13)
-        for layer_index in (10, 11):
-            n = stage_net.layers[layer_index].spec.out_filters
-            victims = sorted(
-                ops.RngState(plan.seed).child(3, 0, layer_index).choice(n, size=n // 2, replace=False).tolist()
-            )
-            stage_net = trimming.trim_filters(stage_net, layer_index, victims)
+        trimming.trim(net13, None, None, trimming.TrimPlan(), checkpoint_stem=str(tmp_path / "net"))
+        stage_net = model.load_model(str(tmp_path / "net-trimS1.ctsr"))
+        assert stage_net.filter_counts() == [64] + [32] * 9 + [16, 16, 1]
         for i in range(10):
             assert stage_net.layers[i].weights.tobytes() == net13.layers[i].weights.tobytes()
 
-    def test_random_selection_reproducible(self, net13):
-        plan = trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM, seed=9)
-        a, _ = trimming.trim(net13, None, None, plan)
-        b, _ = trimming.trim(net13, None, None, plan)
-        for la, lb in zip(a.layers, b.layers):
-            assert la.weights.tobytes() == lb.weights.tobytes()
+    def test_stage_start_ranking_with_index_ties(self):
+        # stage 1 trims layers 2 and 3. Layer 3 is ranked with the input
+        # channels layer 2 loses in that stage still in place: its filter 0,
+        # whose mass sits all in those channels, stays, although it would
+        # rank lowest after the surgery
+        net = model.build_network(5, ops.RngState(6))
+        net.layers[2].weights[:] = 1.0
+        net.layers[2].weights[:16] = 0.0  # first 16 filters of layer 2 go
+        w3 = net.layers[3].weights
+        w3[:] = 0.0
+        w3[0, :16] = 10.0
+        w3[1:, 16:] = 0.2
+        after_surgery = trimming.importance_scores(trimming.trim_filters(net, 2, range(16)), 3)
+        assert np.argsort(after_surgery, kind="stable")[:16].tolist() == list(range(16))
+        _, logs = trimming.trim(net, None, None, trimming.TrimPlan())
+        assert logs[0].removed_filters == {2: list(range(16)), 3: list(range(1, 17))}  # ties among 1..31 go lowest first
+
+    def test_finetuned_stage_ranks_the_previous_checkpoint(self, tmp_path):
+        # stage 2 ranks layers 2 and 3 on the net stage 1 fine-tuned, not on the
+        # parent; their filters start at unit norm, so fine-tuning sets the order
+        net = he_weights(model.build_network(7, ops.RngState(8)), np.random.default_rng(8))
+        for i in (2, 3):
+            w = net.layers[i].weights
+            w /= np.sqrt(np.sum(w.astype(np.float64) ** 2, axis=(1, 2, 3), keepdims=True)).astype(np.float32)
+        cfg = training.TrainConfig(learning_rate=0.01, target_depth=7, batch_size=8, max_epochs_per_stage=1, seed=3)
+        _, logs = trimming.trim(net, tiny_patches(), cfg, trimming.TrimPlan(), checkpoint_stem=str(tmp_path / "net"))
+        stage1 = model.load_model(str(tmp_path / "net-trimS1.ctsr"))
+
+        def lowest_half(scored, i):
+            return sorted(np.argsort(trimming.importance_scores(scored, i), kind="stable")[:16].tolist())
+
+        assert logs[1].removed_filters == {i: lowest_half(stage1, i) for i in (2, 3)}
+        assert logs[1].removed_filters != {i: lowest_half(net, i) for i in (2, 3)}
 
     def test_matches_one_shot_architecture(self, net13):
         cascade, _ = trimming.trim(
-            net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
+            net13, None, None, trimming.TrimPlan()
         )
         one_shot, _ = trimming.trim(
-            net13, None, None, trimming.TrimPlan(13, trimming.MODE_ONE_SHOT_INDEPENDENT)
+            net13, None, None, trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT)
         )
         assert [l.spec for l in cascade.layers] == [l.spec for l in one_shot.layers]
 
@@ -272,7 +295,7 @@ class TestStageHistory:
         net = model.build_network(7, ops.RngState(8))
         trained = model.StageLog(7, [0.01], "plateau", {}, model.param_count(net))
         net.stage_history.append(trained)
-        plan = trimming.TrimPlan(7, mode, seed=3)
+        plan = trimming.TrimPlan(mode)
         if mode == trimming.MODE_CASCADE_TRIM:
             out, logs = trimming.trim(net, None, None, plan)
         else:
@@ -296,7 +319,7 @@ class TestTrimTrain:
         )
         net, _ = training.train(tiny_patches(), cfg)
         reference, _ = trimming.trim(
-            net13, None, None, trimming.TrimPlan(13, trimming.MODE_CASCADE_TRIM)
+            net13, None, None, trimming.TrimPlan()
         )
         assert net.filter_counts() == reference.filter_counts()
         assert [l.spec for l in net.layers] == [l.spec for l in reference.layers]
@@ -306,17 +329,12 @@ class TestTrimPlan:
     def test_rate_bounds(self):
         for rate in (1.0, -0.1):
             with pytest.raises(ValueError):
-                trimming.TrimPlan(3, "cascade", rate=rate)
+                trimming.TrimPlan("cascade", rate=rate)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError) as exc:
-            trimming.TrimPlan(3, "surprise")
+            trimming.TrimPlan("surprise")
         assert str(exc.value) == "trim mode must be one of ['cascade', 'one_shot_independent'], got 'surprise'"
-
-    def test_depth_mismatch_rejected(self, net13):
-        for mode in trimming.MODES:
-            with pytest.raises(ValueError, match="depth 11"):
-                trimming.trim(net13, None, None, trimming.TrimPlan(11, mode))
 
     @pytest.mark.parametrize("given", ["patches", "cfg"])
     @pytest.mark.parametrize("mode", [trimming.MODE_CASCADE_TRIM, trimming.MODE_ONE_SHOT_INDEPENDENT])
@@ -324,6 +342,6 @@ class TestTrimPlan:
         # one of the two alone would leave the net untuned, with 0-epoch stage logs
         patches = tiny_patches() if given == "patches" else None
         cfg = training.TrainConfig(target_depth=13) if given == "cfg" else None
-        plan = trimming.TrimPlan(13, mode)
+        plan = trimming.TrimPlan(mode)
         with pytest.raises(ValueError, match="both patches and cfg"):
             trimming.trim(net13, patches, cfg, plan)
