@@ -4,12 +4,14 @@ outputs, and print their sha256.
 
     PYTHONPATH=src python scripts/artifact_digests.py OUT_DIR
 
-Trains and trims on a small synthetic corpus with fixed seeds and writes 28
+Trains and trims on a small synthetic corpus with fixed seeds and writes 24
 files under OUT_DIR: the patch cache (.ctpd); the cascade d3/d5/d7, one-shot
-d5 and trim-train d3/d5/d7 checkpoints; every stage of trimming.trim in
-its cascade and one-shot modes, each with and without fine-tuning; and the
+d5 and trim-train d3/d5/d7 models; every stage of trimming.trim in its
+cascade and one-shot modes, each with and without fine-tuning; and the
 outputs of the CLI commands prepare, train (modes cascade, one_shot and
-trim_train) and trim (cascade). The CLI configs name the x3 corpus manifest
+trim_train, target depth 5) and trim (cascade), each stage once. A run's
+last stage is its named model, each earlier one a -d{depth} or -trimS{n}
+file beside it. The CLI configs name the x3 corpus manifest
 and no top-level scale, so the CLI models take the manifest's scale. Beside
 them it writes
 20 inference outputs as .npy: model.forward of a He-scaled d7 and a
@@ -20,7 +22,7 @@ conv2d_backward results at pad 0 and pad 1, and
 2 eval outputs as .npy: the (PSNR, SSIM) of each test image from
 evaluate.benchmark of the CLI-trained cascade model and of the bicubic
 baseline. It also digests the JSON sidecar (layer specs and stage history)
-that each of the 26 .ctsr models has, so 76 files in all. It prints
+that each of the 22 .ctsr models has, so 68 files in all. It prints
 "sha256  name" per file, then the sha256 of that sorted list.
 
 Run it at two commits to show that a change keeps every artifact
@@ -47,15 +49,15 @@ TRAIN = dict(learning_rate=0.05, plateau_threshold=0.03, batch_size=8, max_epoch
 
 def library_artifacts(out: str, patches: data.PatchSet):
     cfg = training.TrainConfig(target_depth=7, **TRAIN)
-    d7, _ = training.train(patches, cfg, checkpoint_stem=f"{out}/cascade")
+    d7, _ = training.train(patches, cfg, out=f"{out}/cascade.ctsr")
     training.train(patches, training.TrainConfig(target_depth=5, mode="one_shot", **TRAIN),
-                   checkpoint_stem=f"{out}/one_shot")
-    training.train(patches, replace(cfg, mode="trim_train"), checkpoint_stem=f"{out}/trim_train")
+                   out=f"{out}/one_shot.ctsr")
+    training.train(patches, replace(cfg, mode="trim_train"), out=f"{out}/trim_train.ctsr")
     for tuned, fine, fine_cfg in (("", None, None), ("_ft", patches, cfg)):
         trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(trimming.MODE_CASCADE_TRIM),
-                      checkpoint_stem=f"{out}/cascade_trim{tuned}")
+                      out=f"{out}/cascade_trim{tuned}.ctsr")
         trimming.trim(d7, fine, fine_cfg, trimming.TrimPlan(trimming.MODE_ONE_SHOT_INDEPENDENT),
-                      checkpoint_stem=f"{out}/{trimming.MODE_ONE_SHOT_INDEPENDENT}{tuned}")
+                      out=f"{out}/{trimming.MODE_ONE_SHOT_INDEPENDENT}{tuned}.ctsr")
 
 
 def cli_artifacts(out: str, manifest: str):

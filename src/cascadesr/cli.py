@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import data, evaluate, trimming
-from .model import load_model, model_stem, param_count, save_model
+from .model import load_model, param_count
 from .training import TrainConfig, train
 
 # every config key with its JSON type
@@ -54,12 +54,6 @@ def _check_exists(path: str, what: str):
         raise ConfigError(f"{what} not found: {path}")
 
 
-def _out_stem(path: str) -> str:
-    """Make path's directory; return the stem its stage checkpoints are named from."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return model_stem(path)
-
-
 def _manifest(cfg: dict, command: str) -> data.DatasetManifest:
     """The manifest, at the config's scale if it names one (replace checks it is 2, 3 or 4)."""
     manifest_path = _require(cfg, "manifest", command)
@@ -92,9 +86,8 @@ def cmd_train(cfg: dict, args) -> int:
     patches_path = _require(cfg, "patches", "train")
     _check_exists(patches_path, "patch cache")
     patches = data.load_patches(patches_path)
-    stem = _out_stem(args.out)
-    net, _ = train(patches, tc, log_dir=cfg.get("log_dir"), checkpoint_stem=stem, scale=scale)
-    save_model(net, args.out)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    net, _ = train(patches, tc, log_dir=cfg.get("log_dir"), out=args.out, scale=scale)
     print(f"trained depth {net.depth}, {param_count(net)} parameters -> {args.out}")
     return 0
 
@@ -107,11 +100,10 @@ def cmd_trim(cfg: dict, args) -> int:
     if train_cfg is not None:
         _check_exists(cfg["patches"], "patch cache")
         patches = data.load_patches(cfg["patches"])
-    stem = _out_stem(args.out)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     parent = load_model(args.model)
     # looked up at call time, so a patched module attribute is the one called
-    net, _ = trimming.trim(parent, patches, train_cfg, plan, checkpoint_stem=stem)
-    save_model(net, args.out)
+    net, _ = trimming.trim(parent, patches, train_cfg, plan, out=args.out)
     print(f"trimmed to {param_count(net)} parameters -> {args.out}")
     return 0
 

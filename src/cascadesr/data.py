@@ -190,6 +190,8 @@ class PatchParams:
             raise ManifestError(
                 f"lr_size - {2 * BORDER} must equal hr_size, got {self.lr_size}/{self.hr_size}"
             )
+        if self.hr_size < 1:
+            raise ManifestError(f"hr_size must be >= 1, so lr_size > {2 * BORDER}, got {self.lr_size}/{self.hr_size}")
         if self.stride < 1:
             raise ManifestError(f"stride must be >= 1, got {self.stride}")
 

@@ -301,6 +301,11 @@ def model_stem(path: str) -> str:
     return path[: -len(".ctsr")] if path.endswith(".ctsr") else path
 
 
+def stage_path(out: str | None, tag: str, last: bool) -> str | None:
+    """Where a run ending in the model out saves a stage: out if last, else <stem>-<tag>.ctsr beside it."""
+    return None if out is None else out if last else f"{model_stem(out)}-{tag}.ctsr"
+
+
 def save_model(net: NetworkModel, path: str) -> None:
     net.validate()
     parts = [MAGIC, struct.pack("<III", FORMAT_VERSION, net.scale, net.depth)]

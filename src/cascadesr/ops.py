@@ -207,7 +207,8 @@ def conv2d_backward_from_cols(
     overwritten by its next use; one workspace can serve every layer in
     turn. grad_output may be the input gradient an earlier call returned
     from the same workspace: it is read in full before that array is
-    rewritten.
+    rewritten. x_shape is never read here: perfbench's tracer alone uses it,
+    to count the input gradient's multiplies.
     """
     ws = ws or Workspace()
     co, ci, kh, kw = kernel.shape

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ops
 from .data import PatchSet
-from .model import ACT_RELU, NetworkModel, StageLog, build_network, insert_layers, param_count, save_model
+from .model import ACT_RELU, NetworkModel, StageLog, build_network, insert_layers, param_count, save_model, stage_path
 
 
 @dataclass
@@ -139,14 +139,18 @@ def _log_row(path, row, mode="a"):
         csv.writer(fh).writerow(row)
 
 
-def _train_stage(net, patches, cfg, stage, log_path=None):
-    """Train until the plateau rule or the epoch cap ends the stage.
+def run_stage(net, patches, cfg, stage, path=None, log_path=None, removed=None):
+    """End one stage of cascade growth or of trimming: train until the plateau
+    rule or the epoch cap ends it (no epochs when cfg is None), record its
+    StageLog with the filters it removed and its weight count, append that
+    log to net.stage_history, then save the net to path when one is given.
 
     A previous-epoch loss of 0 is a perfect fit and ends the stage as a
-    plateau; a non-finite epoch loss raises NonFiniteLossError.
+    plateau; a non-finite epoch loss raises NonFiniteLossError before any save.
+    Returns (net, the stage's log).
     """
-    log = StageLog(depth=net.depth)
-    for epoch in range(cfg.max_epochs_per_stage):
+    log = StageLog(depth=net.depth, removed_filters=removed or {})
+    for epoch in range(cfg.max_epochs_per_stage if cfg is not None else 0):
         t0 = time.perf_counter()
         net, loss = run_epoch(net, patches, cfg, epoch=epoch, stage=stage)
         seconds = time.perf_counter() - t0
@@ -159,6 +163,9 @@ def _train_stage(net, patches, cfg, stage, log_path=None):
             log.terminated_by = "plateau"
             break
     log.param_count_after = param_count(net)
+    net.stage_history.append(log)
+    if path is not None:
+        save_model(net, path)
     return net, log
 
 
@@ -166,7 +173,7 @@ def train(
     patches: PatchSet,
     cfg: TrainConfig,
     log_dir: str | None = None,
-    checkpoint_stem: str | None = None,
+    out: str | None = None,
     scale: int = 2,
 ):
     """Train cfg.mode's start net stage by stage, inserting two layers between
@@ -174,8 +181,9 @@ def train(
     filters), one_shot builds the target depth at once and trains one stage,
     trim_train grows the halved base (32/16 filters).
 
-    Returns (net, stage logs). Writes a CSV log row per epoch and a model
-    checkpoint at every stage boundary when the optional paths are given.
+    Returns (net, stage logs). Writes a CSV log row per epoch when log_dir is
+    given, and when out is, saves the last stage to out and each earlier
+    one beside it (model.stage_path).
     """
     rng = ops.RngState(cfg.seed)
     depth = cfg.target_depth if cfg.mode == "one_shot" else 3
@@ -186,14 +194,9 @@ def train(
         os.makedirs(log_dir, exist_ok=True)
         log_path = os.path.join(log_dir, "train_log.csv")
         _log_row(log_path, ["stage_index", "depth", "epoch", "mean_loss", "wall_seconds"], "w")
-    stage = 0
-    while True:
-        net, log = _train_stage(net, patches, cfg, stage, log_path)
-        net.stage_history.append(log)
-        if checkpoint_stem is not None:
-            save_model(net, f"{checkpoint_stem}-d{net.depth}.ctsr")
-        if net.depth >= cfg.target_depth:
-            break
-        stage += 1
-        net = insert_layers(net, rng.child(1, stage))
+    last = (cfg.target_depth - depth) // 2
+    for stage in range(last + 1):
+        if stage:
+            net = insert_layers(net, rng.child(1, stage))
+        net, _ = run_stage(net, patches, cfg, stage, stage_path(out, f"d{net.depth}", stage == last), log_path)
     return net, list(net.stage_history)

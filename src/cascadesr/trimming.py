@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import PatchSet
-from .model import Layer, NetworkModel, StageLog, clone, param_count, save_model
-from .training import TrainConfig, _train_stage
+from .model import Layer, NetworkModel, clone, stage_path
+from .training import TrainConfig, run_stage
 
 MODES = ["cascade", "one_shot_independent"]
 MODE_CASCADE_TRIM, MODE_ONE_SHOT_INDEPENDENT = MODES
@@ -95,7 +95,7 @@ def trim(
     patches: PatchSet | None,
     cfg: TrainConfig | None,
     plan: TrimPlan,
-    checkpoint_stem: str | None = None,
+    out: str | None = None,
 ):
     """Trim the network in plan.mode's stages, fine-tuning between them.
 
@@ -104,9 +104,10 @@ def trim(
     trims on the network as the stage began, removes its floor(plan.rate *
     n_i) lowest-importance filters, ties broken toward the lower filter
     index, then fine-tunes the whole network to plateau when patches and cfg
-    are given (both or neither), appends the stage's log to the network's
-    stage_history after the training stages, and writes the -trimS{n}
-    checkpoint. Returns (net, stage logs).
+    are given (both or neither), and ends through training.run_stage: its log
+    follows the training stages in the network's stage_history, and with out
+    the last stage is saved to out, each earlier one as <stem>-trimS{n}.ctsr.
+    Returns (net, stage logs).
     """
     if (patches is None) != (cfg is None):
         raise ValueError("fine-tuning needs both patches and cfg; give neither to trim without fine-tuning")
@@ -120,16 +121,9 @@ def trim(
         removed = {i: sorted(ranked[i][:count].tolist()) for i, count in counts.items() if count}
         for i, victims in removed.items():
             current = trim_filters(current, i, victims)
-        if cfg is None:
-            log = StageLog(depth=current.depth)
-        else:
-            current, log = _train_stage(current, patches, cfg, FINETUNE_STAGE_BASE + stage)
-        log.removed_filters = removed
-        log.param_count_after = param_count(current)
+        path = stage_path(out, f"trimS{stage + 1}", stage == len(stages) - 1)
+        current, log = run_stage(current, patches, cfg, FINETUNE_STAGE_BASE + stage, path, removed=removed)
         logs.append(log)
-        current.stage_history.append(log)
-        if checkpoint_stem is not None:
-            save_model(current, f"{checkpoint_stem}-trimS{stage + 1}.ctsr")
     return current, logs
 
 

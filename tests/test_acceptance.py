@@ -236,7 +236,7 @@ DESK_ARMS = {
     "cascade": Arm(
         {"train": DESK_TRAIN},
         ("train", "--out", "cascade/net.ctsr"),
-        {f"d{d}": f"cascade/net-d{d}.ctsr" for d in (3, 5, 7)},
+        {"d3": "cascade/net-d3.ctsr", "d5": "cascade/net-d5.ctsr", "d7": "cascade/net.ctsr"},
     ),
     # the one-shot 5-layer control; the fixture sets its max_epochs_per_stage
     # to the epochs the cascade spent through depth 5
@@ -248,12 +248,12 @@ DESK_ARMS = {
     # three routes to the same slim depth-7 architecture at equal post-parent epoch budgets
     "cascade_trim": Arm(
         {"train": {**DESK_TRAIN, "max_epochs_per_stage": DESK_FINETUNE_EPOCH_CAP}, "trim": {"mode": "cascade"}},
-        ("trim", "--model", "cascade/net-d7.ctsr", "--out", "cascade_trim/net.ctsr"),
+        ("trim", "--model", "cascade/net.ctsr", "--out", "cascade_trim/net.ctsr"),
         {"cascade_trim": "cascade_trim/net.ctsr"},
     ),
     "one_shot": Arm(
         {"train": {**DESK_TRAIN, "max_epochs_per_stage": TRIM_BUDGET}, "trim": {"mode": "one_shot_independent"}},
-        ("trim", "--model", "cascade/net-d7.ctsr", "--out", "one_shot/net.ctsr"),
+        ("trim", "--model", "cascade/net.ctsr", "--out", "one_shot/net.ctsr"),
         {"one_shot": "one_shot/net.ctsr"},
     ),
     "trim_train": Arm(

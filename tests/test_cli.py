@@ -128,8 +128,10 @@ class TestPrepare:
             (lambda m: {**m, "patch": {**m["patch"], "lr_size": "33"}},
              "manifest patch key 'lr_size' must be int, got '33'"),
             (lambda m: [1, 2], "manifest must be a JSON object, got [1, 2]"),
+            (lambda m: {**m, "patch": {"lr_size": 16, "stride": 16, "hr_size": 0}},
+             "hr_size must be >= 1, so lr_size > 16, got 16/0"),
         ],
-        ids=["unknown_patch_key", "entry_without_role", "string_lr_size", "json_list"],
+        ids=["unknown_patch_key", "entry_without_role", "string_lr_size", "json_list", "empty_hr_patch"],
     )
     def test_malformed_manifest_rejected(self, workspace, capsys, edit, message):
         tmp, config, config_path = workspace
@@ -145,8 +147,8 @@ class TestTrain:
         tmp, config, config_path = workspace
         cli.main(["prepare", "--config", str(config_path)])
         assert cli.main(["train", "--config", str(config_path), "--out", model_path(tmp)]) == 0
-        for d in (3, 5, 7):
-            assert (tmp / "out" / f"model-d{d}.ctsr").exists()
+        for name in ("model-d3", "model-d5", "model"):  # the last stage is --out itself
+            assert (tmp / "out" / f"{name}.ctsr").exists()
         assert (tmp / "logs" / "train_log.csv").exists()
         out = capsys.readouterr().out
         assert "94048" in out.replace(",", "")
@@ -294,10 +296,10 @@ class TestTrim:
     def test_cascade_stage_checkpoints(self, trained):
         tmp, config, config_path = trained
         assert cli.main(trim_argv(tmp, config_path)) == 0
-        for stage in (1, 2, 3):
-            sidecar = json.loads((tmp / "out" / f"trimmed-trimS{stage}.json").read_text())
+        for stage, stem in ((1, "trimmed-trimS1"), (2, "trimmed-trimS2"), (3, "trimmed")):
+            sidecar = json.loads((tmp / "out" / f"{stem}.json").read_text())
             assert len(sidecar["stage_history"]) == 3 + stage  # the training stages, then trim stages 1..n
-            checkpoint = model.load_model(str(tmp / "out" / f"trimmed-trimS{stage}.ctsr"))
+            checkpoint = model.load_model(str(tmp / "out" / f"{stem}.ctsr"))
             assert sidecar["stage_history"][-1]["param_count_after"] == model.param_count(checkpoint)
         assert not list((tmp / "logs").glob("trim_stage_*"))
 
@@ -312,7 +314,21 @@ class TestTrim:
             assert s["depth"] == 7 and all(s["removed_filters"].values())
         slim = model.load_model(str(tmp / "out" / "trimmed.ctsr"))
         assert history[-1]["param_count_after"] == model.param_count(slim)
-        assert slim.stage_history == model.load_model(str(tmp / "out" / "trimmed-trimS3.ctsr")).stage_history
+        assert slim.stage_history[:-1] == model.load_model(str(tmp / "out" / "trimmed-trimS2.ctsr")).stage_history
+
+    def test_each_stage_written_once(self, workspace):
+        tmp, config, config_path = workspace
+        config["trim"] = {"mode": "cascade"}
+        rewrite(config_path, config)
+        run = tmp / "run"
+        cli.main(["prepare", "--config", str(config_path)])
+        assert cli.main(["train", "--config", str(config_path), "--out", str(run / "m.ctsr")]) == 0
+        assert cli.main(["trim", "--config", str(config_path), "--model", str(run / "m.ctsr"),
+                         "--out", str(run / "slim.ctsr")]) == 0
+        stems = ["m-d3", "m-d5", "m", "slim-trimS1", "slim-trimS2", "slim"]
+        assert sorted(p.name for p in run.iterdir()) == sorted(f"{s}{ext}" for s in stems for ext in (".ctsr", ".json"))
+        contents = [p.read_bytes() for p in run.iterdir()]
+        assert len(set(contents)) == len(contents)
 
     def test_missing_model_fails(self, trained, capsys):
         tmp, config, config_path = trained

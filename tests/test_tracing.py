@@ -56,3 +56,16 @@ def test_perfbench_default_plan_call_trims_as_trim_does():
     want, _ = trimming.trim(net13, None, None, trimming.TrimPlan())
     assert got.filter_counts() == [32] + [16] * 11 + [1]
     assert [l.weights.tobytes() for l in got.layers] == [l.weights.tobytes() for l in want.layers]
+
+
+def test_conv_argument_positions_the_tracer_reads():
+    # the tracer reads conv calls' arguments by position: args[0], args[1],
+    # args[3] and, for the backward pass, args[5] as need_grad_input
+    def leading(fn, n):
+        return list(inspect.signature(fn).parameters)[:n]
+
+    assert leading(ops.conv2d_forward, 4) == ["x", "kernel", "bias", "pad"]
+    assert leading(ops.conv2d_forward_cols, 4) == ["x", "kernel", "bias", "pad"]
+    assert leading(ops.conv2d_backward_from_cols, 6) == [
+        "x_shape", "kernel", "grad_output", "pad", "cols", "need_grad_input"
+    ]

@@ -231,10 +231,9 @@ class TestCascadeTrain:
     def test_csv_log_and_checkpoints(self, tmp_path):
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=7, max_epochs_per_stage=1)
-        stem = str(tmp_path / "run")
-        training.train(patches, cfg, log_dir=str(tmp_path), checkpoint_stem=stem)
-        for d in (3, 5, 7):
-            assert (tmp_path / f"run-d{d}.ctsr").exists()
+        training.train(patches, cfg, log_dir=str(tmp_path), out=str(tmp_path / "run.ctsr"))
+        for name in ("run-d3", "run-d5", "run"):  # the last stage is out itself
+            assert (tmp_path / f"{name}.ctsr").exists()
         lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
         assert lines[0] == "stage_index,depth,epoch,mean_loss,wall_seconds"
         assert len(lines) == 4  # 3 stages x 1 epoch
@@ -311,5 +310,5 @@ class TestStageTermination:
         patches = make_patchset(n=16)
         cfg = quick_cfg(target_depth=5, learning_rate=50.0, batch_size=4, max_epochs_per_stage=5)
         with pytest.raises(training.NonFiniteLossError, match="depth 3, stage 0, epoch 1"):
-            training.train(patches, cfg, checkpoint_stem=str(tmp_path / "run"))
-        assert not list(tmp_path.glob("run-d*.ctsr"))
+            training.train(patches, cfg, out=str(tmp_path / "run.ctsr"))
+        assert not list(tmp_path.glob("run*.ctsr"))

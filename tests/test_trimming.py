@@ -234,7 +234,7 @@ class TestCascadeTrim:
 
     def test_surgery_locality(self, net13, tmp_path):
         # stage 1 only: layers 10, 11 trimmed, 12 loses input slices; 0..9 untouched
-        trimming.trim(net13, None, None, trimming.TrimPlan(), checkpoint_stem=str(tmp_path / "net"))
+        trimming.trim(net13, None, None, trimming.TrimPlan(), out=str(tmp_path / "net.ctsr"))
         stage_net = model.load_model(str(tmp_path / "net-trimS1.ctsr"))
         assert stage_net.filter_counts() == [64] + [32] * 9 + [16, 16, 1]
         for i in range(10):
@@ -265,7 +265,7 @@ class TestCascadeTrim:
             w = net.layers[i].weights
             w /= np.sqrt(np.sum(w.astype(np.float64) ** 2, axis=(1, 2, 3), keepdims=True)).astype(np.float32)
         cfg = training.TrainConfig(learning_rate=0.01, target_depth=7, batch_size=8, max_epochs_per_stage=1, seed=3)
-        _, logs = trimming.trim(net, tiny_patches(), cfg, trimming.TrimPlan(), checkpoint_stem=str(tmp_path / "net"))
+        _, logs = trimming.trim(net, tiny_patches(), cfg, trimming.TrimPlan(), out=str(tmp_path / "net.ctsr"))
         stage1 = model.load_model(str(tmp_path / "net-trimS1.ctsr"))
 
         def lowest_half(scored, i):
